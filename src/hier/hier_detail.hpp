@@ -59,16 +59,10 @@ inline void sparse_row_projection(const SparseLoadCSR& csr, const Rect& r,
   RECTPART_COUNT(kProjectionsBuilt, 1);
 }
 
-/// Row-projection prefix of rect r:
-///   rp[k - r.x0] = load(r.x0, k, r.y0, r.y1)   for k in [r.x0, r.x1],
-/// so left(k) = rp[k - r.x0] and right(k) = rp.back() - rp[k - r.x0].
-inline void build_row_projection(const LoadSubstrate& ls, const Rect& r,
+/// Dense row-projection prefix of rect r off Γ's entries (see
+/// build_row_projection).
+inline void dense_row_projection(const PrefixSum2D& ps, const Rect& r,
                                  std::vector<std::int64_t>& rp) {
-  if (!ls.is_dense()) {
-    sparse_row_projection(*ls.sparse(), r, rp);
-    return;
-  }
-  const PrefixSum2D& ps = ls.dense();
   rp.resize(static_cast<std::size_t>(r.x1 - r.x0) + 1);
   const std::int64_t base = ps.at(r.x0, r.y1) - ps.at(r.x0, r.y0);
   for (int k = r.x0; k <= r.x1; ++k)
@@ -76,24 +70,51 @@ inline void build_row_projection(const LoadSubstrate& ls, const Rect& r,
   RECTPART_COUNT(kProjectionsBuilt, 1);
 }
 
-/// Column-projection prefix of rect r:
-///   cp[k - r.y0] = load(r.x0, r.x1, r.y0, k)   for k in [r.y0, r.y1].
-/// Reads two bordered Γ rows contiguously (dense) or the CSC mirror's rows
-/// (CSR; the mirror's rows are this matrix's columns).
-inline void build_col_projection(const LoadSubstrate& ls, const Rect& r,
+/// Dense column-projection prefix of rect r: two bordered Γ rows read
+/// contiguously (see build_col_projection).
+inline void dense_col_projection(const PrefixSum2D& ps, const Rect& r,
                                  std::vector<std::int64_t>& cp) {
-  if (!ls.is_dense()) {
-    sparse_row_projection(ls.sparse()->transposed(),
-                          Rect{r.y0, r.y1, r.x0, r.x1}, cp);
-    return;
-  }
-  const PrefixSum2D& ps = ls.dense();
   cp.resize(static_cast<std::size_t>(r.y1 - r.y0) + 1);
   const std::int64_t* lo = ps.row_ptr(r.x0);
   const std::int64_t* hi = ps.row_ptr(r.x1);
   const std::int64_t base = hi[r.y0] - lo[r.y0];
   for (int k = r.y0; k <= r.y1; ++k) cp[k - r.y0] = (hi[k] - lo[k]) - base;
   RECTPART_COUNT(kProjectionsBuilt, 1);
+}
+
+/// r with its two axes exchanged: the same cells seen through the transpose.
+[[nodiscard]] inline Rect swap_axes(const Rect& r) {
+  return Rect{r.y0, r.y1, r.x0, r.x1};
+}
+
+/// Row-projection prefix of rect r:
+///   rp[k - r.x0] = load(r.x0, k, r.y0, r.y1)   for k in [r.x0, r.x1],
+/// so left(k) = rp[k - r.x0] and right(k) = rp.back() - rp[k - r.x0].
+/// On an axis-swapped dense view it is the column projection of the
+/// swapped rect on the wrapped Γ.
+inline void build_row_projection(const LoadSubstrate& ls, const Rect& r,
+                                 std::vector<std::int64_t>& rp) {
+  if (!ls.is_dense())
+    sparse_row_projection(*ls.sparse(), r, rp);
+  else if (ls.swapped())
+    dense_col_projection(ls.dense(), swap_axes(r), rp);
+  else
+    dense_row_projection(ls.dense(), r, rp);
+}
+
+/// Column-projection prefix of rect r:
+///   cp[k - r.y0] = load(r.x0, r.x1, r.y0, k)   for k in [r.y0, r.y1].
+/// Reads two bordered Γ rows contiguously (dense) or the CSC mirror's rows
+/// (CSR; the mirror's rows are this matrix's columns).  On an axis-swapped
+/// dense view it is the row projection of the swapped rect on the wrapped Γ.
+inline void build_col_projection(const LoadSubstrate& ls, const Rect& r,
+                                 std::vector<std::int64_t>& cp) {
+  if (!ls.is_dense())
+    sparse_row_projection(ls.sparse()->transposed(), swap_axes(r), cp);
+  else if (ls.swapped())
+    dense_row_projection(ls.dense(), swap_axes(r), cp);
+  else
+    dense_col_projection(ls.dense(), r, cp);
 }
 
 }  // namespace rectpart::hier_detail

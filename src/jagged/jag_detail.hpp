@@ -35,9 +35,11 @@ namespace rectpart::jag_detail {
 /// both — as two independent tasks on the execution layer — and keeps the
 /// partition with the smaller maximum load, preferring horizontal on ties.
 /// Both orientations are always fully computed before the comparison, so the
-/// result is identical at any thread count.  The transposed view comes from
-/// the instance's cache: repeated -VER/kBest solves of one instance pay the
-/// O(n1*n2) copy once.
+/// result is identical at any thread count.  The transposed view is O(1) and
+/// copies nothing: on the dense substrate it is the same Γ with its axes
+/// swapped (LoadSubstrate::transposed), on the CSR substrate the cached CSC
+/// mirror.  Only the exact searches' feasibility probes still ask for the
+/// materialized Γᵀ (jag_opt.cpp, probe_view).
 template <typename F>
 [[nodiscard]] Partition with_orientation(const LoadSubstrate& ps,
                                          Orientation orient, F&& run_hor) {

@@ -15,6 +15,7 @@
 #include "obs/counters.hpp"
 #include "oned/oned.hpp"
 #include "prefix/load_substrate.hpp"
+#include "prefix/stripe_projection.hpp"
 #include "util/rng.hpp"
 
 namespace rectpart {
@@ -61,11 +62,10 @@ class StripeOptCache {
     // Solve on the stripe's flat projection prefix (two adjacent loads per
     // query) instead of Γ gathers; identical int64 values, so the memoized
     // bottlenecks are unchanged.  The solve itself runs outside any lock.
-    const std::shared_ptr<const std::vector<std::int64_t>> proj =
-        projection(a, b);
+    const std::shared_ptr<const StripeProjection> proj = projection(a, b);
     thread_local oned::ProbeScratch scratch;
     const std::int64_t v =
-        oned::nicol_plus(oned::PrefixOracle(*proj), x, &scratch).bottleneck;
+        oned::nicol_plus(proj->oracle(), x, &scratch).bottleneck;
     {
       const std::unique_lock<std::mutex> lock = lock_shard(shard);
       shard.memo.emplace(key, v);
@@ -74,14 +74,15 @@ class StripeOptCache {
   }
 
   /// Flat projection prefix of stripe rows [a, b), built at most once per
-  /// distinct stripe: the O(n2) build runs under the owning shard lock
-  /// (double-checked find), so racing lanes wait for one build instead of
-  /// duplicating it — which is also what keeps the projections_built counter
-  /// exact rather than merely scheduling-dependent.  Returned as a
-  /// shared_ptr so the vector outlives shard-map growth and cache teardown
-  /// races cannot dangle a borrowed span.
-  std::shared_ptr<const std::vector<std::int64_t>> projection(int a,
-                                                              int b) const {
+  /// distinct stripe by StripeProjection::assign_rows (the one builder that
+  /// knows every substrate, axis-swapped dense views included): the O(n2)
+  /// build runs under the owning shard lock (double-checked find), so racing
+  /// lanes wait for one build instead of duplicating it — which is also what
+  /// keeps the projections_built counter exact rather than merely
+  /// scheduling-dependent.  Returned as a shared_ptr so the projection
+  /// outlives shard-map growth and cache teardown races cannot dangle a
+  /// borrowed span.
+  std::shared_ptr<const StripeProjection> projection(int a, int b) const {
     const std::uint64_t ab =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
         static_cast<std::uint32_t>(b);
@@ -90,19 +91,8 @@ class StripeOptCache {
     const std::unique_lock<std::mutex> lock = lock_shard(shard);
     const auto it = shard.memo.find(ab);
     if (it != shard.memo.end()) return it->second;
-    auto built = std::make_shared<std::vector<std::int64_t>>();
-    if (ps_.is_dense()) {
-      const PrefixSum2D& dense = ps_.dense();
-      built->resize(static_cast<std::size_t>(dense.cols()) + 1);
-      const std::int64_t* ra = dense.row_ptr(a);
-      const std::int64_t* rb = dense.row_ptr(b);
-      for (int j = 0; j <= dense.cols(); ++j) (*built)[j] = rb[j] - ra[j];
-      RECTPART_COUNT(kProjectionsBuilt, 1);
-    } else {
-      // Same values via the stripe's nonzeros; accumulate_row_stripe sizes
-      // the vector and counts projections_built itself.
-      ps_.sparse()->accumulate_row_stripe(a, b, *built);
-    }
+    auto built = std::make_shared<StripeProjection>();
+    built->assign_rows(ps_, a, b);
     return shard.memo.emplace(ab, std::move(built)).first->second;
   }
 
@@ -128,8 +118,7 @@ class StripeOptCache {
 
   struct ProjShard {
     std::mutex mutex;
-    std::unordered_map<std::uint64_t,
-                       std::shared_ptr<const std::vector<std::int64_t>>>
+    std::unordered_map<std::uint64_t, std::shared_ptr<const StripeProjection>>
         memo;
   };
 

@@ -97,6 +97,12 @@ constexpr CounterMeta kMeta[kCounterCount] = {
     // the query stream, gated in tiled builds, build-dependent as above.
     {"tile_prefix_hits", false, kTiledBuildDependent},
     {"tile_fringe_rows", false, kTiledBuildDependent},
+    // The dense twin of csc_mirror_builds: one install per instance whose
+    // materialized Γᵀ was asked for (only the exact jagged searches' probes
+    // ask; -VER/kBest views swap axes instead), losing duplicate builds
+    // uncounted — a function of which code paths ran, as above, but with no
+    // tiled-overlay dependence.
+    {"dense_transpose_builds", false, false},
 };
 
 // One cache-line-isolated block per thread.  Only the owning thread writes

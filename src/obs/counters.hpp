@@ -64,6 +64,7 @@ enum class Counter : int {
   kFlightRecords,           ///< requests recorded into the flight recorder
   kTilePrefixHits,          ///< sparse queries answered via the tiled overlay
   kTileFringeRows,          ///< fringe rows walked by tiled sparse queries
+  kDenseTransposeBuilds,    ///< materialized dense Γ transposes installed
   kCount
 };
 

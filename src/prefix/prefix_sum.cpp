@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
 #include "util/simd.hpp"
@@ -197,6 +198,7 @@ const PrefixSum2D& PrefixSum2D::transposed() const {
   if (!tcache_.value) {
     tcache_.value = std::move(built);
     tcache_.ready.store(tcache_.value.get(), std::memory_order_release);
+    RECTPART_COUNT(kDenseTransposeBuilds, 1);
   }
   return *tcache_.value;
 }

@@ -98,19 +98,20 @@ class PrefixSum2D {
     return ps_.data() + static_cast<std::size_t>(x) * (n2_ + 1);
   }
 
-  /// Prefix-sum view of the transposed matrix.  The -VER algorithm variants
-  /// run the row-major implementation on this view and transpose the
-  /// resulting rectangles back.  O(n1*n2).
+  /// Prefix-sum array of the transposed matrix, materialized: a cache-blocked
+  /// O(n1*n2) copy.  The -VER/kBest orientation adapters do not need it —
+  /// they run on LoadSubstrate::transposed(), an axis-swapped view of this
+  /// same array.
   [[nodiscard]] PrefixSum2D transpose() const;
 
   /// Cached transpose: built on first call (thread-safe), shared by every
-  /// later caller for the lifetime of this object.  The transposed array is
-  /// a pure function of the prefix array — identical bytes no matter which
-  /// thread builds it or how wide the execution layer is — so caching is
-  /// invisible to results.  This is the call the orientation adapters use:
-  /// kBest/-VER runs on the same immutable instance (reps, algorithm
-  /// comparisons, repeated solves) pay the O(n1*n2) copy once instead of
-  /// per call.
+  /// later caller for the lifetime of this object; each install counts one
+  /// dense_transpose_builds.  The transposed array is a pure function of the
+  /// prefix array — identical bytes no matter which thread builds it or how
+  /// wide the execution layer is — so caching is invisible to results.  Its
+  /// one engine caller is the exact jagged searches' feasibility probe
+  /// (jag_opt.cpp, probe_view), whose per-probe stripe oracle needs Γᵀ's
+  /// rows contiguous.
   ///
   /// Concurrency: once built, readers take a single acquire load — no lock.
   /// The build itself runs *outside* the cache mutex, so a caller arriving
@@ -118,7 +119,8 @@ class PrefixSum2D {
   /// pool worker hostage (the old behaviour serialized every concurrent
   /// -VER/kBest reader on the service hot path behind the whole O(n1*n2)
   /// build); it races a duplicate bit-identical build and the first install
-  /// wins.
+  /// wins.  Within one solve the exact searches take the transpose before
+  /// they fan out, so their lanes share one build.
   [[nodiscard]] const PrefixSum2D& transposed() const;
 
  private:

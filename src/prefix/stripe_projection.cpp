@@ -12,7 +12,8 @@ namespace rectpart {
 void StripeProjection::assign(const LoadSubstrate& substrate,
                               const Stripe& stripe) {
   if (substrate.is_dense()) {
-    if (stripe.axis == Stripe::Axis::kRows)
+    // A swapped view's row stripe is a column stripe of the Γ it wraps.
+    if ((stripe.axis == Stripe::Axis::kRows) != substrate.swapped())
       assign_rows_dense(substrate.dense(), stripe.lo, stripe.hi);
     else
       assign_cols_dense(substrate.dense(), stripe.lo, stripe.hi);

@@ -10,9 +10,11 @@
 // oned::PrefixOracle on an L1-resident vector.
 //
 // The projection is substrate-polymorphic (prefix/load_substrate.hpp): on
-// the dense Γ array it is a single O(n) difference of two Γ rows; on the CSR
-// substrate it is a scatter of the stripe's nonzeros followed by an
-// inclusive scan, touching only the nonzero rows.  Both compute the same
+// the dense Γ array it is a single O(n) difference of two Γ rows (or of two
+// Γ columns, one entry pair gathered per row, for a column stripe — which
+// is what a row stripe of an axis-swapped view is); on the CSR substrate it
+// is a scatter of the stripe's nonzeros followed by an inclusive scan,
+// touching only the nonzero rows.  Both compute the same
 // int64 entry sums, just re-associated; int64 arithmetic is exact, so oracle
 // values (and therefore every cut decision downstream) are bit-identical
 // across substrates and to the raw Γ-query path.  Builders touch no shared

@@ -29,8 +29,10 @@ StripeMaxFlat::StripeMaxFlat(const LoadSubstrate& ls,
     }
     return;
   }
+  // An axis-swapped view's row stripes are column stripes of the wrapped Γ
+  // (and its positions Γ's rows), so it takes the other builder.
   const PrefixSum2D& ps = ls.dense();
-  if (stripes_are_rows) {
+  if (stripes_are_rows != ls.swapped()) {
     // Stripe s is rows [cuts[s], cuts[s+1]); its prefix at column pos is the
     // difference of two bordered Γ rows.
     std::vector<const std::int64_t*> lo(parts_), hi(parts_);

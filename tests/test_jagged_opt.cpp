@@ -6,9 +6,13 @@
 #include <string>
 
 #include "core/metrics.hpp"
+#include "core/partitioner.hpp"
 #include "jagged/jagged.hpp"
 #include "jagged/stripe_opt_cache.hpp"
+#include "obs/counters.hpp"
+#include "picmag/picmag.hpp"
 #include "testing_util.hpp"
+#include "util/parallel.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace rectpart {
@@ -193,6 +197,66 @@ TEST(JagOpt, OptBeatsOrMatchesHeurOnPaperFamilies) {
       EXPECT_LE(mo, po) << family;
     }
   }
+}
+
+/// Materialized dense transposes installed while `run` executes.
+template <typename F>
+std::uint64_t dense_transpose_builds(F&& run) {
+  const obs::CounterSnapshot before = obs::counters_snapshot();
+  run();
+  return obs::counters_snapshot().delta_since(
+      before)[obs::Counter::kDenseTransposeBuilds];
+}
+
+TEST(DenseTransposeBuilds, BestHeuristicsRunOnTheSwappedViewWithoutACopy) {
+  if (!RECTPART_OBS_ENABLED) GTEST_SKIP() << "counters compiled out";
+  register_builtin_partitioners();
+  const LoadMatrix a = make_synthetic("multipeak", 96, 80, 3);
+  for (const char* name : {"jag-pq-heur", "jag-m-heur"}) {
+    const PrefixSum2D ps(a);  // a new instance: nothing cached
+    const auto algo = make_partitioner(name);
+    EXPECT_EQ(dense_transpose_builds([&] { (void)algo->run(ps, 16); }), 0u)
+        << name;
+  }
+}
+
+TEST(DenseTransposeBuilds, ExactProbesCopyTheTransposeOncePerInstance) {
+  if (!RECTPART_OBS_ENABLED) GTEST_SKIP() << "counters compiled out";
+  register_builtin_partitioners();
+  // The paper's headline instance at the drift-dense benchmark's largest m.
+  PicMagSimulator sim;
+  const PrefixSum2D ps(sim.snapshot_at(0));
+  const auto algo = make_partitioner("jag-pq-opt");
+  EXPECT_EQ(dense_transpose_builds([&] { (void)algo->run(ps, 2304); }), 1u);
+  // A repeat solve of the same instance reuses the cached copy.
+  EXPECT_EQ(dense_transpose_builds([&] { (void)algo->run(ps, 2304); }), 0u);
+}
+
+TEST(JagOptConcurrency, BestOnANewDenseInstanceSharesOneTransposeAcrossLanes) {
+  // With -BEST on a new instance, the vertical search's first Γᵀ build
+  // happens inside a parallel_invoke lane, and the bisection then fans its
+  // probes out over concurrent lanes that all read it.  The search takes the
+  // transpose before it fans out, so exactly one build is installed, and
+  // the partition equals the sequential one.  Run under TSan by tier-1.
+  register_builtin_partitioners();
+  const LoadMatrix a = make_synthetic("peak", 72, 60, 5);
+  const int width = num_threads();
+  for (const char* name : {"jag-pq-opt", "jag-m-opt"}) {
+    SCOPED_TRACE(name);
+    const auto algo = make_partitioner(name);
+    set_threads(1);
+    const Partition serial = algo->run(PrefixSum2D(a), 12);
+    set_threads(4);
+    const PrefixSum2D ps(a);
+    Partition parallel;
+    const std::uint64_t builds =
+        dense_transpose_builds([&] { parallel = algo->run(ps, 12); });
+    if (RECTPART_OBS_ENABLED) {
+      EXPECT_EQ(builds, 1u);
+    }
+    EXPECT_EQ(parallel.rects, serial.rects);
+  }
+  set_threads(width);
 }
 
 }  // namespace
