@@ -166,7 +166,7 @@ echo "== tier-1: ThreadSanitizer (thread pool + determinism suites) =="
 cmake -B build-tsan -S . -DRECTPART_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$jobs" \
   --target test_parallel test_util test_picmag test_picmag3 test_jagged_opt \
-  test_service test_obs
+  test_service test_obs test_sparse_load
 build-tsan/tests/test_parallel
 build-tsan/tests/test_util --gtest_filter='ThreadPool*'
 # The partition daemon under TSan: accept thread, connection handlers, the
@@ -183,5 +183,9 @@ RECTPART_THREADS=4 build-tsan/tests/test_obs --gtest_filter='Telemetry*'
 RECTPART_THREADS=4 build-tsan/tests/test_picmag
 RECTPART_THREADS=4 build-tsan/tests/test_picmag3
 RECTPART_THREADS=4 build-tsan/tests/test_jagged_opt
+# The CSR build's pool-parallel counting scatters and band compaction (the
+# bit-identity and first-bad-entry tests run them at widths 2 and 4), plus
+# the lazily built CSC mirror under the multi-thread sparse golden runs.
+RECTPART_THREADS=4 build-tsan/tests/test_sparse_load
 
 echo "== tier-1: OK =="

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <utility>
 
 namespace rectpart {
 
@@ -134,7 +135,11 @@ void ThreadPool::parallel_for(std::size_t n,
 
   std::unique_lock<std::mutex> lock(st->m);
   st->cv.wait(lock, [&]() { return st->done.load() == st->n; });
-  if (st->error) std::rethrow_exception(st->error);
+  // Take the exception out of the shared state before rethrowing: a lane
+  // task's closure may hold the last reference to `st` and drop it on its
+  // worker after we return, which must not free the exception the caller is
+  // still unwinding with.
+  if (st->error) std::rethrow_exception(std::exchange(st->error, nullptr));
 }
 
 }  // namespace rectpart

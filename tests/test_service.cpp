@@ -24,6 +24,7 @@
 #include <fstream>
 #include <optional>
 #include <memory>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -588,6 +589,22 @@ TEST_F(ServiceTest, BadCooEntriesAreARequestErrorNotACrash) {
   const Response r = client.solve(coo, opt);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("bad COO payload"), std::string::npos) << r.error;
+  EXPECT_TRUE(client.ping());
+}
+
+TEST_F(ServiceTest, CooLoadsOverflowingInt64AreARequestError) {
+  // Each load is a valid int64 but the total is not: the build rejects the
+  // stream before any prefix can wrap, and the connection survives.
+  constexpr std::int64_t kHalf = std::numeric_limits<std::int64_t>::max() / 2;
+  CooInstance coo{8, 8, {{0, 0, kHalf + 1}, {7, 7, kHalf + 1}}};
+  ServiceClient client = connect();
+  SolveOptions opt;
+  opt.m = 2;
+  const Response r = client.solve(coo, opt);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error,
+            "bad COO payload: COO loads overflow int64: the total load "
+            "exceeds 2^63-1");
   EXPECT_TRUE(client.ping());
 }
 
