@@ -5,13 +5,13 @@
 #
 # Re-runs the pinned-seed benchmark configurations below and diffs the fresh
 # BENCH files against the checked-in baselines under bench/baselines/ with
-# `benchstat diff`.  The diff's hard gate is exact equality on the
-# scheduling-independent counters (oned_probe_calls, hier_nodes,
-# picmag_particles_pushed): those are bit-exact for a pinned seed at
-# --threads=1 on any machine, so a mismatch means the algorithms did
-# different work — a real behavioural change, not noise.  Wall-clock columns
-# are reported but never gated here (no --ms-gate): a 1-CPU CI container is
-# not a timing environment.
+# `benchstat diff`.  The diff's hard gate is exact equality on every counter
+# that both files' BENCH provenance lists under deterministic_counters (all
+# counters obs/counters.cpp does not declare scheduling-dependent): those are
+# bit-exact for a pinned seed at --threads=1 on any machine, so a mismatch
+# means the algorithms did different work — a real behavioural change, not
+# noise.  Wall-clock columns are reported but never gated here (no
+# --ms-gate): a 1-CPU CI container is not a timing environment.
 #
 # After an *intentional* change to the partitioning work (new pruning rule,
 # different probe order, ...), regenerate and commit the baselines:

@@ -30,16 +30,18 @@ namespace rectpart::jag_detail {
   return std::move(oned::nicol_plus(proj.oracle(), procs, &scratch).cuts);
 }
 
-/// Runs a rows-as-main-dimension algorithm under the requested orientation:
+/// Runs a rows-as-main-dimension heuristic under the requested orientation:
 /// kVertical transposes the instance (and the result back); kBest evaluates
 /// both — as two independent tasks on the execution layer — and keeps the
 /// partition with the smaller maximum load, preferring horizontal on ties.
-/// Both orientations are always fully computed before the comparison, so the
-/// result is identical at any thread count.  The transposed view is O(1) and
-/// copies nothing: on the dense substrate it is the same Γ with its axes
-/// swapped (LoadSubstrate::transposed), on the CSR substrate the cached CSC
-/// mirror.  Only the exact searches' feasibility probes still ask for the
-/// materialized Γᵀ (jag_opt.cpp, probe_view).
+/// For the heuristics both orientations are always fully computed before the
+/// comparison, so the result is identical at any thread count.  The exact
+/// engines do not come through here: their kBest is one joint parametric
+/// search over both orientations (jag_opt.cpp, min_feasible_joint) that
+/// stops the losing side early and applies the same tie rule.  The
+/// transposed view is O(1) and copies nothing: on the dense substrate it is
+/// the same Γ with its axes swapped (LoadSubstrate::transposed), on the CSR
+/// substrate the cached CSC mirror.
 template <typename F>
 [[nodiscard]] Partition with_orientation(const LoadSubstrate& ps,
                                          Orientation orient, F&& run_hor) {

@@ -3,7 +3,10 @@
 // Both use parametric search on the bottleneck value B, which is exact for
 // integral load matrices: binary-search B in [LB, UB] where LB is the
 // average/max-cell lower bound and UB comes from the corresponding heuristic,
-// deciding feasibility of each candidate B with a specialized test.
+// deciding feasibility of each candidate B with a specialized test.  The
+// -BEST variants search both orientations jointly (min_feasible_joint): one
+// shared bracket on min(opt_H, opt_V), so the losing orientation's search
+// stops as soon as it cannot win.
 //
 //  * P x Q-way: a greedy maximal-stripe sweep decides whether the rows can be
 //    covered by at most P stripes whose columns each split into at most Q
@@ -40,45 +43,95 @@ namespace rectpart {
 
 namespace {
 
-/// Smallest B in [lb, ub] satisfying an antitone feasibility predicate
-/// (feasible(ub) must hold), retaining the witness of the last successful
-/// probe.  feasible(b, w) must fill *w exactly when it returns true.  On
-/// return *witness_b is the budget *witness was filled at: equal to the
-/// result iff any probe succeeded — then the witness already belongs to the
-/// optimum and extraction needs no re-probe — or -1 when the search closed
-/// on the caller's initial ub without ever probing it.
+/// One orientation's bracket in the joint parametric search: that
+/// orientation's optimum lies in [lo, hi], and hi is known feasible.  When
+/// `has_witness` is set, `witness` was filled by a successful probe at hi;
+/// otherwise hi is still the heuristic's bound, which no probe filled.
+template <typename W>
+struct Bracket {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  W witness{};
+  bool has_witness = false;
+};
+
+/// Where a joint search closed: the smallest budget feasible for any of the
+/// orientations, and the orientation the result is taken from (its
+/// bracket's hi equals `best`).
+struct JointResult {
+  std::int64_t best = 0;
+  int winner = 0;
+};
+
+/// Smallest budget B* feasible for any orientation in `br` — one bracket,
+/// or HOR then VER under kBest — over per-orientation antitone predicates:
+/// feasible(s, b, w) must fill *w exactly when orientation s is feasible at
+/// b.  The orientations share one bracket [L, U], L the smallest lo and U
+/// the smallest hi; the leader is the orientation holding U (the first on
+/// ties).  Each round picks candidates inside [L, U) — the midpoint with one
+/// lane, `lanes` evenly spaced points otherwise — and each candidate's lane
+/// probes the leader, then the other orientation if the leader failed and
+/// the other's status there is still unknown (lo <= candidate).  With
+/// `incumbent_check` a first round probes U - 1 alone: a heuristic bound
+/// that is already optimal then costs one infeasible probe per orientation.
 ///
-/// Sequential bisection when the execution layer is sequential; otherwise
-/// each round evaluates several interior candidates concurrently and keeps
-/// the tightest bracket.  Both searches converge to the unique minimal
-/// feasible value, and a witness at a given budget is a pure function of
-/// that budget, so results (and the witness) are thread-count independent;
-/// whether a probe ever succeeds is equivalent to ub exceeding the optimum
-/// in both modes, so witness_reprobes_avoided is thread-invariant too.
+/// Ties go to the first orientation: when the search closes on another one
+/// and the first's status at B* is unknown, it is probed there.  The winner
+/// is therefore the first orientation iff it is feasible at B*, exactly as
+/// if both optima had been searched to the end and compared.  Every probe
+/// decides one orientation at one budget, and a witness is a pure function
+/// of both, so B*, the winner and the winner's partition are thread-count
+/// independent; the probes issued (and whether the winner's witness was
+/// retained) depend on the lane count only.
 template <typename W, typename Pred>
-std::int64_t min_feasible_retain(std::int64_t lb, std::int64_t ub,
-                                 const Pred& feasible, W* witness,
-                                 std::int64_t* witness_b) {
-  *witness_b = -1;
-  const int lanes = std::min(num_threads(), 8);
-  if (lanes <= 1 || execution_pool() == nullptr) {
-    W buf{};
-    while (lb < ub) {
-      const std::int64_t mid = lb + (ub - lb) / 2;
-      if (feasible(mid, &buf)) {
-        ub = mid;
-        std::swap(*witness, buf);
-        *witness_b = mid;
-      } else {
-        lb = mid + 1;
+JointResult min_feasible_joint(std::vector<Bracket<W>>& br,
+                               bool incumbent_check, const Pred& feasible) {
+  const int sides = static_cast<int>(br.size());
+  const auto leader = [&] {
+    return sides > 1 && br[1].hi < br[0].hi ? 1 : 0;
+  };
+  const auto lower = [&] {
+    std::int64_t l = br[0].lo;
+    for (const Bracket<W>& b : br) l = std::min(l, b.lo);
+    return l;
+  };
+  const auto round = [&](const std::vector<std::int64_t>& cand) {
+    const int first = leader();
+    std::vector<int> won(cand.size(), -1);           // orientation feasible
+    std::vector<unsigned char> failed(cand.size());  // bit s: s infeasible
+    std::vector<W> bufs(cand.size());
+    parallel_for(cand.size(), [&](std::size_t i) {
+      for (int k = 0; k < sides; ++k) {
+        const int s = (first + k) % sides;
+        if (br[s].lo > cand[i]) continue;  // known infeasible here
+        if (feasible(s, cand[i], &bufs[i])) {
+          won[i] = s;
+          return;
+        }
+        failed[i] |= static_cast<unsigned char>(1u << s);
+      }
+    });
+    for (std::size_t i = 0; i < cand.size(); ++i) {
+      for (int s = 0; s < sides; ++s)
+        if (failed[i] & (1u << s)) br[s].lo = std::max(br[s].lo, cand[i] + 1);
+      const int s = won[i];
+      if (s >= 0 && cand[i] < br[s].hi) {
+        br[s].hi = cand[i];
+        std::swap(br[s].witness, bufs[i]);
+        br[s].has_witness = true;
       }
     }
-    return lb;
-  }
-  while (lb < ub) {
-    const std::int64_t width = ub - lb;
-    // Strictly increasing candidates inside (lb, ub); a k-way round cuts
+  };
+
+  const int lanes = std::min(num_threads(), 8);
+  if (incumbent_check && lower() < br[leader()].hi)
+    round({br[leader()].hi - 1});
+  while (lower() < br[leader()].hi) {
+    const std::int64_t lb = lower();
+    const std::int64_t ub = br[leader()].hi;
+    // Strictly increasing candidates inside [lb, ub); a k-way round cuts
     // the bracket by a factor of k+1 instead of 2.
+    const std::int64_t width = ub - lb;
     std::vector<std::int64_t> cand;
     cand.reserve(lanes);
     for (int i = 1; i <= lanes; ++i) {
@@ -87,40 +140,20 @@ std::int64_t min_feasible_retain(std::int64_t lb, std::int64_t ub,
       if (c >= ub) break;
       cand.push_back(c);
     }
-    if (cand.empty()) cand.push_back(lb);
-    std::vector<char> ok(cand.size(), 0);
-    std::vector<W> bufs(cand.size());
-    parallel_for(cand.size(), [&](std::size_t i) {
-      ok[i] = feasible(cand[i], &bufs[i]) ? 1 : 0;
-    });
-    std::size_t first = cand.size();
-    for (std::size_t i = 0; i < cand.size(); ++i) {
-      if (ok[i]) {
-        first = i;
-        break;
-      }
-    }
-    if (first == cand.size()) {
-      lb = cand.back() + 1;
-    } else {
-      ub = cand[first];
-      std::swap(*witness, bufs[first]);
-      *witness_b = ub;
-      if (first > 0) lb = cand[first - 1] + 1;
+    round(cand);
+  }
+
+  JointResult r{br[leader()].hi, leader()};
+  if (r.winner != 0 && br[0].lo <= r.best) {
+    W w{};
+    if (feasible(0, r.best, &w)) {
+      br[0].hi = r.best;
+      br[0].witness = std::move(w);
+      br[0].has_witness = true;
+      r.winner = 0;
     }
   }
-  return lb;
-}
-
-/// Witness-free façade over min_feasible_retain.
-template <typename Pred>
-std::int64_t min_feasible(std::int64_t lb, std::int64_t ub,
-                          const Pred& feasible) {
-  char ignored = 0;
-  std::int64_t ignored_b = -1;
-  return min_feasible_retain(
-      lb, ub, [&](std::int64_t b, char*) { return feasible(b); }, &ignored,
-      &ignored_b);
+  return r;
 }
 
 /// Optimal 1-D column cuts for each recorded stripe — the independent Opt1D
@@ -328,6 +361,46 @@ LoadSubstrate probe_view(const LoadSubstrate& ps) {
   return ps;
 }
 
+/// One orientation an exact solve searches: `view` has the stripe axis as
+/// its rows, `probe` is its probe_view, and `transposed` says whether the
+/// result must be transposed back.
+struct Oriented {
+  LoadSubstrate view;
+  LoadSubstrate probe;
+  bool transposed;
+};
+
+/// The orientations `orient` asks for, in tie-preference order: the
+/// requested one alone, or HOR then VER under kBest.  The probe views are
+/// taken here, before the search fans out, so its concurrent lanes share
+/// one Γᵀ build.
+std::vector<Oriented> orientations(const LoadSubstrate& ps,
+                                   Orientation orient) {
+  std::vector<Oriented> o;
+  if (orient != Orientation::kVertical)
+    o.push_back({ps, probe_view(ps), false});
+  if (orient != Orientation::kHorizontal) {
+    const LoadSubstrate t = ps.transposed();
+    o.push_back({t, probe_view(t), true});
+  }
+  return o;
+}
+
+/// One bracket per orientation: lo is the average/max-cell lower bound and
+/// hi the Lmax of `heur` (a rows-as-main-dimension heuristic on the probe
+/// view), which is feasible.  The orientations' heuristics are independent
+/// and run concurrently.
+template <typename W, typename Heur>
+std::vector<Bracket<W>> open_brackets(const std::vector<Oriented>& o, int m,
+                                      const Heur& heur) {
+  std::vector<Bracket<W>> br(o.size());
+  parallel_for(o.size(), [&](std::size_t s) {
+    br[s].lo = lower_bound_lmax(o[s].probe, m);
+    br[s].hi = heur(o[s].probe).max_load(o[s].probe);
+  });
+  return br;
+}
+
 /// Minimum number of column intervals of load <= B covering stripe [a, b),
 /// or nullopt when impossible or when the count would exceed `cap`.  `ps`
 /// must be a probe_view.
@@ -398,61 +471,6 @@ bool pq_feasible(const LoadSubstrate& ps, int p, int q, std::int64_t B,
     while (static_cast<int>(out->pos.size()) < p + 1) out->pos.push_back(n1);
   }
   return true;
-}
-
-Partition pq_opt_hor(const LoadSubstrate& view, int m, int p,
-                     const RunContext* ctx) {
-  RECTPART_SPAN("jag-pq-opt");
-  const LoadSubstrate ps = probe_view(view);
-  if (m % p != 0)
-    throw std::invalid_argument("jag_pq_opt: stripes must divide m");
-  const int q = m / p;
-
-  std::int64_t lb = lower_bound_lmax(ps, m);
-  JaggedOptions heur_opt;
-  heur_opt.stripes = p;
-  heur_opt.orientation = Orientation::kHorizontal;
-  heur_opt.ctx = ctx;
-  const std::int64_t ub = jag_pq_heur(ps, m, heur_opt).max_load(ps);
-
-  // Search probes write their stripe boundaries so the winner's cuts are
-  // already in hand.  The PQ heuristic's bound is frequently already optimal
-  // — its stripe boundaries come from the optimal 1-D split of the
-  // projection, which on smooth instances the exact engine cannot improve —
-  // and then every bisection probe below ub fails.  Probing ub - 1 first
-  // settles that case in a single infeasible probe; when ub - 1 is feasible
-  // its cuts seed the incumbent witness and the bisection proceeds on
-  // [lb, ub - 1].  The optimum (and hence the partition) is independent of
-  // the probe order.
-  oned::Cuts row_cuts;
-  std::int64_t wb = -1;
-  std::int64_t best = ub;
-  if (lb < ub && pq_feasible(ps, p, q, ub - 1, &row_cuts, ctx)) {
-    wb = ub - 1;
-    oned::Cuts inner;
-    std::int64_t inner_b = -1;
-    best = min_feasible_retain(
-        lb, ub - 1,
-        [&](std::int64_t b, oned::Cuts* w) {
-          return pq_feasible(ps, p, q, b, w, ctx);
-        },
-        &inner, &inner_b);
-    if (inner_b == best) {
-      row_cuts = std::move(inner);
-      wb = best;
-    }
-  }
-
-  if (wb == best) {
-    RECTPART_COUNT(kWitnessReprobesAvoided, 1);
-  } else if (!pq_feasible(ps, p, q, best, &row_cuts, ctx)) {
-    throw std::logic_error("jag_pq_opt: optimum not feasible (bug)");
-  }
-
-  std::vector<StripeTask> tasks(p);
-  for (int s = 0; s < p; ++s)
-    tasks[s] = {row_cuts.begin_of(s), row_cuts.end_of(s), q};
-  return jag_detail::assemble_jagged(row_cuts, solve_stripes(ps, tasks), m);
 }
 
 // ------------------------------------------------------------------- m-way
@@ -559,73 +577,101 @@ Partition m_opt_extract(const LoadSubstrate& ps, int m, std::int64_t B,
   return jag_detail::assemble_jagged(row_cuts, solve_stripes(ps, tasks), m);
 }
 
-/// Optimal m-way bottleneck plus, when the search probed the optimum, the
-/// probe object that proved it feasible (null when the heuristic upper bound
-/// was already optimal).
+/// The m-way joint search: the orientations searched, their closed
+/// brackets, and where the search closed.
 struct MWaySolve {
-  std::int64_t bottleneck = 0;
-  std::unique_ptr<MWayProbe> witness;
+  std::vector<Oriented> o;
+  std::vector<Bracket<std::unique_ptr<MWayProbe>>> br;
+  JointResult r;
 };
 
-MWaySolve m_opt_solve_hor(const LoadSubstrate& view, int m,
-                          const RunContext* ctx = nullptr) {
-  const LoadSubstrate ps = probe_view(view);
-  const std::int64_t lb = lower_bound_lmax(ps, m);
+MWaySolve m_opt_solve(const LoadSubstrate& ps, int m, Orientation orient,
+                      const RunContext* ctx) {
+  MWaySolve s{orientations(ps, orient), {}, {}};
   JaggedOptions heur_opt;
   heur_opt.orientation = Orientation::kHorizontal;
   heur_opt.ctx = ctx;
-  const std::int64_t ub = jag_m_heur(ps, m, heur_opt).max_load(ps);
-
+  s.br = open_brackets<std::unique_ptr<MWayProbe>>(
+      s.o, m,
+      [&](const LoadSubstrate& v) { return jag_m_heur(v, m, heur_opt); });
   // Each candidate bottleneck gets its own MWayProbe, so the concurrent
-  // rounds of min_feasible_retain share nothing but the immutable prefix
-  // array; the probe of the last success survives as the witness.
-  MWaySolve r;
-  std::int64_t wb = -1;
-  r.bottleneck = min_feasible_retain(
-      lb, ub,
-      [&](std::int64_t b, std::unique_ptr<MWayProbe>* out) {
-        auto candidate = std::make_unique<MWayProbe>(ps, m, b, ctx);
+  // lanes share nothing but the immutable prefix arrays; the probe of each
+  // orientation's last success survives as its witness.  No incumbent
+  // check: JAG-M-HEUR's bound is rarely optimal, and probing ub - 1 first
+  // added probes on every gated bench instance (fig06 at m = 64: 221k ->
+  // 239k oned probe calls).
+  s.r = min_feasible_joint(
+      s.br, /*incumbent_check=*/false,
+      [&](int side, std::int64_t b, std::unique_ptr<MWayProbe>* out) {
+        auto candidate =
+            std::make_unique<MWayProbe>(s.o[side].probe, m, b, ctx);
         if (!candidate->run()) return false;
         *out = std::move(candidate);
         return true;
-      },
-      &r.witness, &wb);
-  if (wb != r.bottleneck) r.witness.reset();
-  return r;
+      });
+  return s;
 }
 
 }  // namespace
 
 Partition jag_pq_opt(const LoadSubstrate& ps, int m, const JaggedOptions& opt) {
+  RECTPART_SPAN("jag-pq-opt");
   int p = opt.stripes;
   if (p <= 0) p = choose_grid(m).first;
-  return jag_detail::with_orientation(
-      ps, opt.orientation, [m, p, &opt](const LoadSubstrate& view) {
-        return pq_opt_hor(view, m, p, opt.ctx);
+  if (m % p != 0)
+    throw std::invalid_argument("jag_pq_opt: stripes must divide m");
+  const int q = m / p;
+
+  const std::vector<Oriented> o = orientations(ps, opt.orientation);
+  JaggedOptions heur_opt;
+  heur_opt.stripes = p;
+  heur_opt.orientation = Orientation::kHorizontal;
+  heur_opt.ctx = opt.ctx;
+  std::vector<Bracket<oned::Cuts>> br = open_brackets<oned::Cuts>(
+      o, m,
+      [&](const LoadSubstrate& v) { return jag_pq_heur(v, m, heur_opt); });
+
+  // Search probes write their stripe boundaries so the winner's cuts are
+  // already in hand.  The PQ heuristic's bound is frequently already optimal
+  // — its stripe boundaries come from the optimal 1-D split of the
+  // projection, which on smooth instances the exact engine cannot improve —
+  // and then every probe below it fails; the incumbent check settles that
+  // case in one infeasible probe per orientation.
+  const JointResult r = min_feasible_joint(
+      br, /*incumbent_check=*/true,
+      [&](int side, std::int64_t b, oned::Cuts* w) {
+        return pq_feasible(o[side].probe, p, q, b, w, opt.ctx);
       });
+  const Oriented& win = o[r.winner];
+  oned::Cuts& row_cuts = br[r.winner].witness;
+  if (br[r.winner].has_witness) {
+    RECTPART_COUNT(kWitnessReprobesAvoided, 1);
+  } else if (!pq_feasible(win.probe, p, q, r.best, &row_cuts, opt.ctx)) {
+    throw std::logic_error("jag_pq_opt: optimum not feasible (bug)");
+  }
+
+  std::vector<StripeTask> tasks(p);
+  for (int s = 0; s < p; ++s)
+    tasks[s] = {row_cuts.begin_of(s), row_cuts.end_of(s), q};
+  Partition part = jag_detail::assemble_jagged(
+      row_cuts, solve_stripes(win.probe, tasks), m);
+  return win.transposed ? transpose_partition(std::move(part)) : part;
 }
 
 Partition jag_m_opt(const LoadSubstrate& ps, int m, const JaggedOptions& opt) {
-  return jag_detail::with_orientation(
-      ps, opt.orientation, [m, &opt](const LoadSubstrate& view) {
-        RECTPART_SPAN("jag-m-opt");
-        const MWaySolve solved = m_opt_solve_hor(view, m, opt.ctx);
-        return m_opt_extract(view, m, solved.bottleneck,
-                             solved.witness.get(), opt.ctx);
-      });
+  RECTPART_SPAN("jag-m-opt");
+  const MWaySolve s = m_opt_solve(ps, m, opt.orientation, opt.ctx);
+  const Oriented& win = s.o[s.r.winner];
+  const auto& b = s.br[s.r.winner];
+  Partition part = m_opt_extract(win.view, m, s.r.best,
+                                 b.has_witness ? b.witness.get() : nullptr,
+                                 opt.ctx);
+  return win.transposed ? transpose_partition(std::move(part)) : part;
 }
 
 std::int64_t jag_m_opt_bottleneck(const LoadSubstrate& ps, int m,
                                   Orientation orient) {
-  if (orient == Orientation::kHorizontal)
-    return m_opt_solve_hor(ps, m).bottleneck;
-  const LoadSubstrate t = ps.transposed();
-  if (orient == Orientation::kVertical)
-    return m_opt_solve_hor(t, m).bottleneck;
-  std::int64_t hor = 0, ver = 0;
-  parallel_invoke([&]() { ver = m_opt_solve_hor(t, m).bottleneck; },
-                  [&]() { hor = m_opt_solve_hor(ps, m).bottleneck; });
-  return std::min(hor, ver);
+  return m_opt_solve(ps, m, orient, nullptr).r.best;
 }
 
 }  // namespace rectpart

@@ -152,7 +152,8 @@ struct JaggedOptions {
                                      const JaggedOptions& opt = {});
 
 /// The bottleneck of the optimal m-way jagged partition without materializing
-/// the partition (used by benches to avoid the extraction pass).
+/// the partition (the search without the extraction pass; the tests use it
+/// to check the bottleneck alone).
 [[nodiscard]] std::int64_t jag_m_opt_bottleneck(const LoadSubstrate& ls, int m,
                                                 Orientation orient);
 

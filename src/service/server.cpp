@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/metrics.hpp"
 #include "core/partitioner.hpp"
 #include "dynamic/rebalance.hpp"
 #include "obs/counters.hpp"
@@ -574,7 +575,7 @@ bool Server::handle_solve(const std::shared_ptr<Connection>& conn,
     }
     r.ms = ms_since(t0);
     r.lmax = r.partition.max_load(ls);
-    r.imbalance = r.partition.imbalance(ls);
+    r.imbalance = imbalance_of(r.lmax, ls.total(), r.partition.m());
     send_response(conn, r);
     rec.status = "ok";
     rec.error.clear();
@@ -618,7 +619,7 @@ bool Server::handle_solve(const std::shared_ptr<Connection>& conn,
   }
   r.ms = ms_since(t0);
   r.lmax = r.partition.max_load(ls);
-  r.imbalance = r.partition.imbalance(ls);
+  r.imbalance = imbalance_of(r.lmax, ls.total(), r.partition.m());
   send_response(conn, r);
   rec.status = "ok";
   rec.error.clear();
@@ -659,7 +660,7 @@ bool Server::handle_solve(const std::shared_ptr<Connection>& conn,
         }
         f.ms = ms_since(u0);
         f.lmax = f.partition.max_load(uls);
-        f.imbalance = f.partition.imbalance(uls);
+        f.imbalance = imbalance_of(f.lmax, uls.total(), f.partition.m());
         send_response(conn, f);
         urec.ms = f.ms;
         urec.lmax = f.lmax;

@@ -3,7 +3,10 @@
 // respect the solution-class containments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/metrics.hpp"
 #include "core/partitioner.hpp"
@@ -63,6 +66,91 @@ TEST(JagPqOpt, BestOrientationNeverWorse) {
   const auto lb = jag_pq_opt(ps, 9, best).max_load(ps);
   EXPECT_LE(lb, jag_pq_opt(ps, 9, hor()).max_load(ps));
   EXPECT_LE(lb, jag_pq_opt(ps, 9, ver).max_load(ps));
+}
+
+/// One tie-rule case: a named instance and a processor count.
+struct TieCase {
+  std::string name;
+  LoadMatrix a;
+  int m;
+};
+
+std::vector<TieCase> tie_cases() {
+  std::vector<TieCase> cases;
+  // Transpose-symmetric: both orientations reach the same optimum.
+  LoadMatrix sym = random_matrix(14, 14, 0, 9, 61);
+  for (int x = 0; x < 14; ++x)
+    for (int y = 0; y < x; ++y) sym(y, x) = sym(x, y);
+  cases.push_back({"symmetric", sym, 6});
+  // One heavy cell: the optimum is the max-cell lower bound.
+  LoadMatrix heavy = random_matrix(12, 15, 0, 5, 62);
+  heavy(0, 0) = 1000;
+  cases.push_back({"max-cell", heavy, 4});
+  cases.push_back({"1xn", random_matrix(1, 23, 0, 9, 63), 4});
+  cases.push_back({"nx1", random_matrix(23, 1, 0, 9, 64), 4});
+  cases.push_back({"m=1", random_matrix(9, 13, 0, 9, 65), 1});
+  // Skewed instances, on which the orientations' optima differ.
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const int n1 = 10 + static_cast<int>(seed) * 3;
+    cases.push_back(
+        {"random", random_matrix(n1, 31 - n1, 0, 12, 70 + seed), 6});
+    cases.push_back(
+        {"peak", gen_peak(16 + static_cast<int>(seed), 20, 80 + seed), 9});
+  }
+  return cases;
+}
+
+// BEST is the HOR engine's partition when opt_H <= opt_V and the VER
+// engine's otherwise — exactly, rectangle for rectangle, on both substrates
+// at any thread count.  The joint search never finishes the losing
+// orientation's search, so this pins that it still picks the same winner
+// and extracts the same witness.
+TEST(JagOpt, BestPicksHorOnTiesAndTheVerPartitionOtherwise) {
+  using Engine = Partition (*)(const LoadSubstrate&, int,
+                               const JaggedOptions&);
+  const std::pair<const char*, Engine> engines[] = {{"jag-pq-opt", jag_pq_opt},
+                                                    {"jag-m-opt", jag_m_opt}};
+  JaggedOptions best;
+  best.orientation = Orientation::kBest;
+  JaggedOptions ver;
+  ver.orientation = Orientation::kVertical;
+  const int width = num_threads();
+  int ties = 0, ver_wins = 0;
+  for (const TieCase& c : tie_cases()) {
+    const PrefixSum2D dense(c.a);
+    const SparseLoadCSR csr = SparseLoadCSR::from_dense(c.a);
+    for (const auto& [name, engine] : engines) {
+      set_threads(1);
+      const Partition h = engine(dense, c.m, hor());
+      const Partition v = engine(dense, c.m, ver);
+      const std::int64_t opt_h = h.max_load(dense);
+      const std::int64_t opt_v = v.max_load(dense);
+      const Partition& want = opt_h <= opt_v ? h : v;
+      ties += opt_h == opt_v ? 1 : 0;
+      ver_wins += opt_v < opt_h ? 1 : 0;
+      if (c.name == "symmetric") {
+        EXPECT_EQ(opt_h, opt_v) << name;
+      }
+      if (c.name == "max-cell") {
+        EXPECT_EQ(std::min(opt_h, opt_v), lower_bound_lmax(dense, c.m))
+            << name;
+      }
+      for (const int threads : {1, 4}) {
+        set_threads(threads);
+        for (const LoadSubstrate ls : {LoadSubstrate(dense),
+                                       LoadSubstrate(csr)}) {
+          EXPECT_EQ(engine(ls, c.m, best).rects, want.rects)
+              << name << " on " << c.name << " (" << ls.kind()
+              << ", threads=" << threads << ", opt_H=" << opt_h
+              << ", opt_V=" << opt_v << ")";
+        }
+      }
+    }
+  }
+  set_threads(width);
+  // The cases must exercise both branches of the rule.
+  EXPECT_GT(ties, 0);
+  EXPECT_GT(ver_wins, 0);
 }
 
 TEST(JagMOpt, ValidAndDominatesEverythingJagged) {
@@ -233,11 +321,11 @@ TEST(DenseTransposeBuilds, ExactProbesCopyTheTransposeOncePerInstance) {
 }
 
 TEST(JagOptConcurrency, BestOnANewDenseInstanceSharesOneTransposeAcrossLanes) {
-  // With -BEST on a new instance, the vertical search's first Γᵀ build
-  // happens inside a parallel_invoke lane, and the bisection then fans its
-  // probes out over concurrent lanes that all read it.  The search takes the
-  // transpose before it fans out, so exactly one build is installed, and
-  // the partition equals the sequential one.  Run under TSan by tier-1.
+  // With -BEST on a new instance, the joint search fans its probes of both
+  // orientations out over concurrent lanes, and the vertical probes all
+  // read Γᵀ.  The search takes the transpose before it fans out, so exactly
+  // one build is installed, and the partition equals the sequential one.
+  // Run under TSan by tier-1.
   register_builtin_partitioners();
   const LoadMatrix a = make_synthetic("peak", 72, 60, 5);
   const int width = num_threads();

@@ -28,6 +28,7 @@
 #include <string>
 #include <thread>
 
+#include "core/metrics.hpp"
 #include "core/partitioner.hpp"
 #include "obs/counters.hpp"
 #include "service/client.hpp"
@@ -632,6 +633,36 @@ TEST_F(ServiceTest, UnknownAlgorithmSuggestsTheClosestName) {
   EXPECT_NE(r.error.find("did you mean"), std::string::npos) << r.error;
   // The failure happened after the payload: the connection survives.
   EXPECT_TRUE(client.ping());
+}
+
+// The daemon evaluates each reply's partition once and derives its
+// imbalance from that max load with imbalance_of.  That must be the same
+// double Partition::imbalance gives, including on its two degenerate
+// inputs: an empty partition and a zero-load instance.
+TEST(ReplyImbalance, ImbalanceOfMatchesPartitionImbalanceOnDegenerateInputs) {
+  const PrefixSum2D loaded(testing::random_matrix(6, 7, 1, 9, 41));
+  const PrefixSum2D zero(LoadMatrix(6, 7, 0));
+  const Partition empty;
+  const Partition split{{Rect{0, 3, 0, 7}, Rect{3, 6, 0, 7}}};
+  for (const PrefixSum2D* ps : {&loaded, &zero}) {
+    for (const Partition* p : {&empty, &split}) {
+      EXPECT_EQ(imbalance_of(p->max_load(*ps), ps->total(), p->m()),
+                p->imbalance(*ps));
+    }
+  }
+  EXPECT_EQ(imbalance_of(empty.max_load(loaded), loaded.total(), 0), 0.0);
+  EXPECT_EQ(imbalance_of(split.max_load(zero), zero.total(), 2), 0.0);
+}
+
+TEST_F(ServiceTest, ZeroLoadSolveRepliesZeroImbalance) {
+  ServiceClient client = connect();
+  SolveOptions opt;
+  opt.algo = "jag-pq-opt";
+  opt.m = 4;
+  const Response r = client.solve(LoadMatrix(8, 8, 0), opt);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.lmax, 0);
+  EXPECT_EQ(r.imbalance, 0.0);
 }
 
 TEST_F(ServiceTest, EmptyMatrixIsARequestErrorNotACrash) {
