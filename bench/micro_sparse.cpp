@@ -13,7 +13,6 @@
 #include <functional>
 
 #include "bench_common.hpp"
-#include "hier/hier.hpp"
 #include "prefix/sparse_load.hpp"
 #include "prefix/stripe_projection.hpp"
 #include "workloads/synthetic.hpp"
@@ -108,33 +107,6 @@ int main(int argc, char** argv) {
     acc += stripes.back().prefix().back();
     return acc >= 0 ? t.milliseconds() : 0.0;
   });
-
-  // --- hier-opt densify sweep: the measurement behind the
-  // HierOptions::densify_below = 256 default.  At the DP's <= 255 envelope,
-  // "hier-opt-native" forces the CSR substrate (densify_below = 0: leaf
-  // probes off per-node stripe projections); "hier-opt-densify" is the
-  // default (densify anything inside the envelope).  The sweep measures
-  // densify ~1.2x faster here — the DP's probe volume dwarfs the dense Γ
-  // build — which is why densify is the default and native the
-  // memory-constrained opt-in.  Same partition either way. ---
-  {
-    const CooInstance scoo = gen_powerlaw_coo(96, 96, 1 << 10, seed);
-    const SparseLoadCSR scsr =
-        SparseLoadCSR::from_coo(scoo.n1, scoo.n2, scoo.entries);
-    const int sweep_m = 8;
-    time_workload("hier-opt-native", [&] {
-      HierOptions o;
-      o.densify_below = 0;
-      WallTimer t;
-      const Partition part = hier_opt(scsr, sweep_m, o);
-      return part.rects.empty() ? 0.0 : t.milliseconds();
-    });
-    time_workload("hier-opt-densify", [&] {
-      WallTimer t;
-      const Partition part = hier_opt(scsr, sweep_m);
-      return part.rects.empty() ? 0.0 : t.milliseconds();
-    });
-  }
 
   // --- One run per family on the sparse substrate.  The exact DP
   // references (hier-opt, spiral-opt) sit outside their n <= 255 envelope

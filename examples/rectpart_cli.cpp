@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
     } else {
       try {
         load = load_matrix_binary(input);
-      } catch (const std::exception&) {
+      } catch (const std::runtime_error&) {  // not RPM1; bad cells propagate
         load = load_matrix_text(input);
       }
     }

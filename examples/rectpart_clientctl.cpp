@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
     } else if (!input.empty()) {
       try {
         load = load_matrix_binary(input);
-      } catch (const std::exception&) {
+      } catch (const std::runtime_error&) {  // not RPM1; bad cells propagate
         load = load_matrix_text(input);
       }
     } else {

@@ -7,14 +7,15 @@
 # BENCH files against the checked-in baselines under bench/baselines/ with
 # `benchstat diff`.  The diff's hard gate is exact equality on every counter
 # that both files' BENCH provenance lists under deterministic_counters (all
-# counters obs/counters.cpp does not declare scheduling-dependent): those are
+# counters obs/counters.def does not mark scheduling-dependent): those are
 # bit-exact for a pinned seed at --threads=1 on any machine, so a mismatch
 # means the algorithms did different work — a real behavioural change, not
 # noise.  Wall-clock columns are reported but never gated here (no
 # --ms-gate): a 1-CPU CI container is not a timing environment.
 #
 # After an *intentional* change to the partitioning work (new pruning rule,
-# different probe order, ...), regenerate and commit the baselines:
+# different probe order, ...), regenerate and commit the baselines; --regen
+# rewrites only the files whose diff fails or reports a new record:
 #
 #     scripts/bench_gate.sh --regen
 #     git add bench/baselines/ && git commit
@@ -35,7 +36,7 @@ for arg in "$@"; do
   case "$arg" in
     --regen) regen=1 ;;
     -h|--help)
-      sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *) build=$arg ;;
@@ -79,12 +80,7 @@ run_micro_service() {
 }
 # The CSR substrate's own counters (sparse_rows_touched, csc_mirror_builds,
 # tile_prefix_hits, tile_fringe_rows) are scheduling-independent, so the
-# sparse data plane is gated exactly like the dense one — except in the
-# -DRECTPART_TILED_GAMMA=0 escape-hatch build, where the plain row walk does
-# different (more) substrate traffic and those four counters are declared
-# build-dependent so the gate intersection drops them (obs/counters.cpp);
-# the routing-level counters (oned_probe_calls, oned_oracle_loads,
-# projections_built) stay gated in every build.
+# sparse data plane is gated exactly like the dense one.
 run_micro_sparse() {
   "$root/$build/bench/micro_sparse" --n=1024 --nnz=32768 --m=32 --reps=2 \
     --seed=1 --threads=1 >/dev/null
@@ -98,8 +94,15 @@ for name in micro_core micro_oned fig06_runtime micro_service micro_sparse; do
   fresh=$tmp/BENCH_$name.json
   base=$baselines/BENCH_$name.json
   if [[ $regen -eq 1 ]]; then
-    cp "$fresh" "$base"
-    echo "bench_gate: regenerated $base"
+    # Rewrite only a baseline whose gate fails or that lacks a record, so a
+    # regeneration leaves the wall-clock fields of undrifted benches alone.
+    if [[ -f "$base" ]] && diff_out=$("$benchstat" diff "$base" "$fresh") &&
+       ! grep -q '^# new record' <<<"$diff_out"; then
+      echo "bench_gate: $name unchanged"
+    else
+      cp "$fresh" "$base"
+      echo "bench_gate: regenerated $base"
+    fi
   elif [[ ! -f "$base" ]]; then
     echo "bench_gate: no baseline $base (run with --regen to create)" >&2
     status=1

@@ -144,24 +144,6 @@ build-scalar/tests/test_stripe_projection
 build-scalar/tests/test_parallel --gtest_filter='ParallelLayer*'
 scripts/bench_gate.sh build-scalar
 
-echo "== tier-1: RECTPART_TILED_GAMMA=0 (plain-CSR escape hatch bit-identity) =="
-# The tiled Γ overlay's escape hatch: with the overlay compiled out, every
-# sparse rectangle query falls back to the plain row walk.  Query values —
-# and therefore partitions, the sparse golden hashes, and every
-# routing-level counter (oned_probe_calls, oned_oracle_loads,
-# projections_built, hier_nodes) — must be bit-identical to the tiled
-# build; only the substrate-traffic counters (sparse_rows_touched,
-# csc_mirror_builds, tile_*) legitimately differ, and obs/counters.cpp
-# declares exactly those build-dependent in this configuration so the gate
-# intersection drops them and nothing else.
-cmake -B build-plain -S . -DRECTPART_TILED_GAMMA=0 >/dev/null
-cmake --build build-plain -j "$jobs" \
-  --target test_sparse_load test_stripe_projection benchstat micro_core \
-  micro_oned micro_service micro_sparse fig06_runtime
-build-plain/tests/test_sparse_load
-build-plain/tests/test_stripe_projection
-scripts/bench_gate.sh build-plain
-
 echo "== tier-1: ThreadSanitizer (thread pool + determinism suites) =="
 cmake -B build-tsan -S . -DRECTPART_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$jobs" \

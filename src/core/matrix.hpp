@@ -7,6 +7,7 @@
 #include <initializer_list>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace rectpart {
@@ -30,6 +31,34 @@ inline std::size_t checked_extent(std::initializer_list<long long> dims) {
   if (cells > std::numeric_limits<std::size_t>::max() / sizeof(std::int64_t))
     throw std::length_error("matrix size exceeds addressable cells");
   return cells;
+}
+
+/// Rejects dense loads the paper's oracles cannot take: a negative cell (the
+/// 1-D probes need monotone prefixes) or a running total past INT64_MAX
+/// (every Γ entry is a partial sum of the total).  `cells` holds prod(dims)
+/// values, row-major over `dims`; the std::invalid_argument names the first
+/// bad cell's coordinates and value.
+inline void check_dense_loads(const std::int64_t* cells,
+                              std::initializer_list<int> dims) {
+  const std::vector<std::size_t> ext(dims.begin(), dims.end());
+  std::size_t count = 1;
+  for (const std::size_t d : ext) count *= d;
+  std::int64_t total = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::int64_t v = cells[k];
+    if (v >= 0 && !__builtin_add_overflow(total, v, &total)) continue;
+    std::string at;
+    std::size_t rest = k;
+    for (std::size_t d = ext.size(); d-- > 0;) {
+      at = std::to_string(rest % ext[d]) + (at.empty() ? "" : ", ") + at;
+      rest /= ext[d];
+    }
+    throw std::invalid_argument(
+        "cell (" + at + ") " +
+        (v < 0 ? "has negative load " + std::to_string(v)
+               : "load " + std::to_string(v) +
+                     " takes the total load past 2^63-1"));
+  }
 }
 
 /// Dense row-major matrix.

@@ -14,7 +14,6 @@
 #include <unordered_map>
 
 #include "hier/hier.hpp"
-#include "prefix/stripe_projection.hpp"
 
 namespace rectpart {
 
@@ -22,33 +21,25 @@ namespace {
 
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
 
-/// Pre-overlay, the DP's unmemoized q == 1 leaves issued O(1) loads on the
-/// dense Γ array but O(rows_touched * log) searches on the CSR substrate —
-/// millions of them, which turned the reference DP pathological on sparse
-/// input, so any sparse instance was densified up front (a < 1 MB Γ array at
-/// the 255 x 255 cap).  The DP now answers its leaves off per-node flat
-/// stripe projections instead (see solve()), so densification is opt-in via
-/// HierOptions::densify_below and off by default.  Both substrates answer
-/// every query with identical int64 values, so the partition is unchanged
-/// either way.
-std::unique_ptr<PrefixSum2D> densify_for_dp(const LoadSubstrate& ps,
-                                            int densify_below) {
-  if (ps.is_dense() || ps.rows() > 255 || ps.cols() > 255) return nullptr;
-  if (std::max(ps.rows(), ps.cols()) >= densify_below) return nullptr;
+/// The DP's unmemoized q == 1 leaves issue O(1) loads on the dense Γ array,
+/// so a sparse instance is densified up front; the envelope check comes
+/// first, so nothing outside it is ever densified.  Both substrates answer
+/// every query with identical int64 values, so the partition is the one the
+/// CSR substrate would give.
+std::unique_ptr<PrefixSum2D> densify_for_dp(const LoadSubstrate& ps, int m) {
+  if (ps.rows() > 255 || ps.cols() > 255 || m > 4095)
+    throw std::invalid_argument(
+        "hier_opt: instance too large for the exact DP (n <= 255, "
+        "m <= 4095)");
+  if (ps.is_dense()) return nullptr;
   return std::make_unique<PrefixSum2D>(ps.sparse()->to_dense());
 }
 
 class HierDp {
  public:
-  HierDp(const LoadSubstrate& ps, int m, const HierOptions& opt)
-      : densified_(densify_for_dp(ps, opt.densify_below)),
-        ps_(densified_ ? LoadSubstrate(*densified_) : ps),
-        m_(m) {
-    if (ps.rows() > 255 || ps.cols() > 255 || m > 4095)
-      throw std::invalid_argument(
-          "hier_opt: instance too large for the exact DP (n <= 255, "
-          "m <= 4095)");
-  }
+  HierDp(const LoadSubstrate& ps, int m)
+      : densified_(densify_for_dp(ps, m)),
+        ps_(densified_ ? LoadSubstrate(*densified_) : ps) {}
 
   std::int64_t solve(const Rect& r, int q) {
     if (q <= 0) return r.empty() ? 0 : kInf;
@@ -60,43 +51,6 @@ class HierDp {
     Entry best;
     best.value = kInf;
 
-    // Leaf probes (q == 1 on either side of a candidate cut) dominate the
-    // node's query volume: every binary-search step at j == 1 or j == q - 1
-    // evaluates one.  On the CSR substrate they are answered off stack-local
-    // flat projections of this node's row/column stripe — one O(stripe)
-    // build amortized over the node's ~4 log n leaf probes, instead of a
-    // fringe walk per probe.  Built lazily so nodes that never evaluate a
-    // leaf (1 < j < q - 1 everywhere) pay nothing; that lazy build IS the
-    // break-even policy, measured in DESIGN.md §11 via projections_built.
-    // Stack-local, not thread_local: solve() recurses through these lambdas,
-    // and an inner node must not clobber its ancestor's buffers.  Prefix
-    // differences equal ps_.load exactly (int64, same entry sums), so the
-    // memo values and the extracted partition are bit-identical to the
-    // direct-Γ formulation.
-    const bool project_leaves = !ps_.is_dense();
-    StripeProjection colp, rowp;
-    bool have_colp = false, have_rowp = false;
-    const auto row_piece = [&](int xa, int xb, int qq) -> std::int64_t {
-      if (qq == 1 && project_leaves) {
-        if (!have_colp) {
-          colp.assign_cols(ps_, r.y0, r.y1);
-          have_colp = true;
-        }
-        return colp.prefix()[xb] - colp.prefix()[xa];
-      }
-      return solve(Rect{xa, xb, r.y0, r.y1}, qq);
-    };
-    const auto col_piece = [&](int ya, int yb, int qq) -> std::int64_t {
-      if (qq == 1 && project_leaves) {
-        if (!have_rowp) {
-          rowp.assign_rows(ps_, r.x0, r.x1);
-          have_rowp = true;
-        }
-        return rowp.prefix()[yb] - rowp.prefix()[ya];
-      }
-      return solve(Rect{r.x0, r.x1, ya, yb}, qq);
-    };
-
     // Row cuts: for each processor split j, Lmax(left, j) is non-decreasing
     // and Lmax(right, q-j) non-increasing in the cut position, so the best
     // position is at their crossing (or one step left of it).
@@ -105,14 +59,15 @@ class HierDp {
         int lo = r.x0, hi = r.x1;
         while (lo < hi) {
           const int mid = lo + (hi - lo) / 2;
-          if (row_piece(r.x0, mid, j) >= row_piece(mid, r.x1, q - j))
+          if (solve(Rect{r.x0, mid, r.y0, r.y1}, j) >=
+              solve(Rect{mid, r.x1, r.y0, r.y1}, q - j))
             hi = mid;
           else
             lo = mid + 1;
         }
         for (int k = std::max(r.x0, lo - 1); k <= lo; ++k) {
-          const std::int64_t a = row_piece(r.x0, k, j);
-          const std::int64_t b = row_piece(k, r.x1, q - j);
+          const std::int64_t a = solve(Rect{r.x0, k, r.y0, r.y1}, j);
+          const std::int64_t b = solve(Rect{k, r.x1, r.y0, r.y1}, q - j);
           const std::int64_t cand = a > b ? a : b;
           if (cand < best.value) best = Entry{cand, true, k, j};
         }
@@ -121,14 +76,15 @@ class HierDp {
         int lo = r.y0, hi = r.y1;
         while (lo < hi) {
           const int mid = lo + (hi - lo) / 2;
-          if (col_piece(r.y0, mid, j) >= col_piece(mid, r.y1, q - j))
+          if (solve(Rect{r.x0, r.x1, r.y0, mid}, j) >=
+              solve(Rect{r.x0, r.x1, mid, r.y1}, q - j))
             hi = mid;
           else
             lo = mid + 1;
         }
         for (int k = std::max(r.y0, lo - 1); k <= lo; ++k) {
-          const std::int64_t a = col_piece(r.y0, k, j);
-          const std::int64_t b = col_piece(k, r.y1, q - j);
+          const std::int64_t a = solve(Rect{r.x0, r.x1, r.y0, k}, j);
+          const std::int64_t b = solve(Rect{r.x0, r.x1, k, r.y1}, q - j);
           const std::int64_t cand = a > b ? a : b;
           if (cand < best.value) best = Entry{cand, false, k, j};
         }
@@ -179,14 +135,13 @@ class HierDp {
   const std::unique_ptr<PrefixSum2D> densified_;  ///< owns ps_'s target when
                                                   ///< the input was sparse
   const LoadSubstrate ps_;
-  int m_;
   std::unordered_map<std::uint64_t, Entry> memo_;
 };
 
 }  // namespace
 
-Partition hier_opt(const LoadSubstrate& ps, int m, const HierOptions& opt) {
-  HierDp dp(ps, m, opt);
+Partition hier_opt(const LoadSubstrate& ps, int m) {
+  HierDp dp(ps, m);
   const Rect whole{0, ps.rows(), 0, ps.cols()};
   dp.solve(whole, m);
   Partition part;

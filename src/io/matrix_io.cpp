@@ -95,6 +95,7 @@ LoadMatrix load_matrix_text(const std::string& path) {
       }
     }
   }
+  check_dense_loads(a.data(), {n1, n2});
   return a;
 }
 
@@ -139,6 +140,7 @@ LoadMatrix load_matrix_binary(const std::string& path) {
       a.size() * sizeof(std::int64_t))
     io_fail_at("read error in matrix body", path,
                12 + static_cast<std::int64_t>(in.gcount()));
+  check_dense_loads(a.data(), {dims[0], dims[1]});
   return a;
 }
 
@@ -282,6 +284,7 @@ LoadMatrix3 load_matrix3_binary(const std::string& path) {
       io_fail_at("read error in matrix body", path, off);
     off += static_cast<std::int64_t>(sizeof(v));
   }
+  check_dense_loads(a.data(), {dims[0], dims[1], dims[2]});
   return a;
 }
 

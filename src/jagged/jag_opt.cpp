@@ -220,7 +220,7 @@ constexpr int kScatterCacheMaxCols = 1 << 16;
 /// stripe_parts — search-local ownership keeps the lanes of a parallel
 /// bisection independent and leaves nothing alive across solves.  The mode
 /// is a pure function of the instance shape, so probe counts and verdicts
-/// are identical across thread widths and across the TILED_GAMMA builds:
+/// are identical across thread widths:
 ///
 ///  * Γ ladder (cells <= kGammaLadderMaxCells): dense Γ rows materialized
 ///    bottom-up on demand — row e is row e-1 plus one merged scan of CSR row

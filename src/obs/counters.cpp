@@ -4,30 +4,12 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <vector>
-
-// Injected by the build (CMake option RECTPART_TILED_GAMMA); the header
-// default keeps IDE/standalone parses working.
-#ifndef RECTPART_TILED_GAMMA_ENABLED
-#define RECTPART_TILED_GAMMA_ENABLED 1
-#endif
 
 namespace rectpart::obs {
 
 namespace {
-
-// The CSR substrate's query-path counters are deterministic within a build
-// but legitimately differ between tiled-overlay and plain builds: a tiled
-// query touches only fringe rows (and forces the CSC mirror earlier), so
-// sparse_rows_touched / csc_mirror_builds totals shift, and the tile_*
-// counters are identically zero with the overlay compiled out.  Declaring
-// them scheduling-dependent in the RECTPART_TILED_GAMMA=0 build drops them
-// from the benchstat gate *intersection* (the same mechanism the SIMD
-// counters use below), so tier-1 can diff a plain-Γ build against
-// tiled-build baselines and still demand exact equality on every counter
-// whose value the overlay provably cannot change (probe calls, oracle
-// loads, projections, hier nodes, partition hashes).
-constexpr bool kTiledBuildDependent = RECTPART_TILED_GAMMA_ENABLED == 0;
 
 struct CounterMeta {
   const char* name;
@@ -35,75 +17,20 @@ struct CounterMeta {
   bool scheduling_dependent;
 };
 
-// Order must match the Counter enum.
 constexpr CounterMeta kMeta[kCounterCount] = {
-    {"oned_probe_calls", false, false},
-    {"mway_dp_cells", false, true},
-    {"stripe_cache_hits", false, true},
-    {"stripe_cache_misses", false, true},
-    {"stripe_cache_contention", false, true},
-    {"pool_tasks_claimed", false, true},
-    {"pool_queue_high_watermark", true, true},
-    {"hier_nodes", false, false},
-    {"picmag_particles_pushed", false, false},
-    // The flat-oracle cost model (DESIGN.md §hot paths): words touched per
-    // query, projections materialized, and extraction re-probes skipped are
-    // all pure functions of the search control flow, so they share the
-    // oned_probe_calls determinism argument (and its opt-engine exemption).
-    // projections_built stays exact under concurrency because StripeOptCache
-    // builds projections under the owning shard lock — once per stripe.
-    {"oned_oracle_loads", false, false},
-    {"projections_built", false, false},
-    {"witness_reprobes_avoided", false, false},
-    // Request and cache-hit totals are pure functions of the request stream
-    // (the fingerprint cache keys on content, not timing), so gated service
-    // workloads can diff them exactly.  Deadline returns depend on the wall
-    // clock and are scheduling-dependent by nature.
-    {"service_requests", false, false},
-    {"service_cache_hits", false, false},
-    {"service_deadline_returns", false, true},
-    // Deliberately scheduling-dependent: the values are a function of the
-    // compiled SIMD mode (util/simd.hpp), not of the algorithms, so the
-    // SIMD and scalar builds legitimately disagree.  Keeping them out of
-    // the declared-deterministic set is what lets bench_gate.sh diff a
-    // scalar-fallback build against SIMD-build baselines and still demand
-    // exact equality on every algorithmic counter.
-    {"simd_lanes_used", false, true},
-    {"simd_fallback_hits", false, true},
-    // CSR-substrate work.  Rows touched per query is a pure function of the
-    // query arguments and the instance, and the set of queries is fixed by
-    // the search control flow — the same argument oned_oracle_loads makes.
-    // Mirror builds: exactly one install per instance side regardless of how
-    // many readers raced (the losing duplicate builds are discarded
-    // uncounted), so the total is a function of which code paths ran.
-    {"sparse_rows_touched", false, kTiledBuildDependent},
-    {"csc_mirror_builds", false, kTiledBuildDependent},
-    // Telemetry-plane bookkeeping (obs/telemetry.hpp).  Observations are one
-    // per recording call — a pure function of which instrumented paths ran,
-    // so they gate like the service counters.  Series registration and shard
-    // allocation are once-per-process-history and once-per-thread
-    // respectively: their *deltas* depend on what already ran and on which
-    // threads touched which series, so both stay out of the deterministic
-    // set by design.
-    {"telemetry_observations", false, false},
-    {"telemetry_series", false, true},
-    {"telemetry_shard_allocs", false, true},
-    // Access-log lines and flight records are one per served request (plus
-    // one per error line), a pure function of the request stream.
-    {"access_log_lines", false, false},
-    {"flight_records", false, false},
-    // Tiled-overlay query work (prefix/sparse_tiles.hpp): one hit per query
-    // routed through the overlay, fringe rows as walked — pure functions of
-    // the query stream, gated in tiled builds, build-dependent as above.
-    {"tile_prefix_hits", false, kTiledBuildDependent},
-    {"tile_fringe_rows", false, kTiledBuildDependent},
-    // The dense twin of csc_mirror_builds: one install per instance whose
-    // materialized Γᵀ was asked for (only the exact jagged searches' probes
-    // ask; -VER/kBest views swap axes instead), losing duplicate builds
-    // uncounted — a function of which code paths ran, as above, but with no
-    // tiled-overlay dependence.
-    {"dense_transpose_builds", false, false},
+#define RECTPART_COUNTER(id, name, watermark, scheduling_dependent) \
+  {name, watermark, scheduling_dependent},
+#include "obs/counters.def"
+#undef RECTPART_COUNTER
 };
+
+constexpr bool names_unique() {
+  for (int i = 0; i < kCounterCount; ++i)
+    for (int j = i + 1; j < kCounterCount; ++j)
+      if (std::string_view(kMeta[i].name) == kMeta[j].name) return false;
+  return true;
+}
+static_assert(names_unique(), "duplicate counter name in obs/counters.def");
 
 // One cache-line-isolated block per thread.  Only the owning thread writes
 // (relaxed stores); snapshots read concurrently (relaxed loads) — a torn

@@ -34,37 +34,12 @@
 
 namespace rectpart::obs {
 
-/// The counter registry.  Adding a counter: extend the enum (before kCount)
-/// and the tables in counters.cpp; everything else (snapshots, JSON, merge)
-/// picks it up automatically.
+/// The counter registry, one enumerator per row of obs/counters.def (which
+/// also holds each counter's name, class, and the reason for its class).
 enum class Counter : int {
-  kOnedProbeCalls = 0,      ///< oned probe_suffix / min_parts_within calls
-  kMWayDpCells,             ///< MWayDp states evaluated (memo misses)
-  kStripeCacheHits,         ///< StripeOptCache memo hits
-  kStripeCacheMisses,       ///< StripeOptCache memo misses (nicol solves)
-  kStripeCacheContention,   ///< StripeOptCache shard locks that had to wait
-  kPoolTasksClaimed,        ///< parallel_for iterations claimed from the pool
-  kPoolQueueHighWatermark,  ///< deepest ThreadPool queue observed (max-merge)
-  kHierNodes,               ///< hierarchical bipartition nodes visited
-  kPicmagParticlesPushed,   ///< PIC-MAG particle push steps executed
-  kOnedOracleLoads,         ///< 64-bit words read by 1-D oracle queries
-  kProjectionsBuilt,        ///< flat stripe/rect projection prefixes built
-  kWitnessReprobesAvoided,  ///< cut-extraction re-probes skipped via witness
-  kServiceRequests,         ///< requests accepted by the partition daemon
-  kServiceCacheHits,        ///< daemon instance-cache (fingerprint) hits
-  kServiceDeadlineReturns,  ///< requests answered by the SLO fallback path
-  kSimdLanesUsed,           ///< int64 elements processed through SIMD lanes
-  kSimdFallbackHits,        ///< SIMD kernel calls that ran a scalar tail/path
-  kSparseRowsTouched,       ///< nonzero CSR rows visited by sparse queries
-  kCscMirrorBuilds,         ///< lazy CSC mirror transposes installed
-  kTelemetryObservations,   ///< telemetry counter adds + histogram observes
-  kTelemetrySeries,         ///< telemetry series registered (process history)
-  kTelemetryShardAllocs,    ///< per-(thread, registry) telemetry shards made
-  kAccessLogLines,          ///< JSONL access-log lines written by the daemon
-  kFlightRecords,           ///< requests recorded into the flight recorder
-  kTilePrefixHits,          ///< sparse queries answered via the tiled overlay
-  kTileFringeRows,          ///< fringe rows walked by tiled sparse queries
-  kDenseTransposeBuilds,    ///< materialized dense Γ transposes installed
+#define RECTPART_COUNTER(id, name, watermark, scheduling_dependent) id,
+#include "obs/counters.def"
+#undef RECTPART_COUNTER
   kCount
 };
 

@@ -124,8 +124,8 @@ class SparseLoadCSR {
   /// taller than 4T route through the tiled overlay (tile_prefix_hits /
   /// tile_fringe_rows); the routing predicate is a pure function of the
   /// query arguments and the instance shape, and both paths form the same
-  /// association-free int64 sums, so values — and every partition downstream
-  /// — are bit-identical with the overlay compiled out.
+  /// association-free int64 sums, so every value — and every partition
+  /// downstream — is the one the plain row walk would give.
   [[nodiscard]] std::int64_t load(int x0, int x1, int y0, int y1) const;
 
   [[nodiscard]] std::int64_t load(const Rect& r) const {
@@ -185,9 +185,8 @@ class SparseLoadCSR {
   /// through checked_extent for web-scale dims).
   [[nodiscard]] LoadMatrix to_dense() const;
 
-  /// The tiled Γ overlay (disabled — never engaged — in
-  /// -DRECTPART_TILED_GAMMA=0 builds or for empty instances).  Exposed so
-  /// the equality-fuzz tests can aim queries at tile boundaries.
+  /// The tiled Γ overlay (disabled — never engaged — for empty instances).
+  /// Exposed so the equality-fuzz tests can aim queries at tile boundaries.
   [[nodiscard]] const SparseTileIndex& tiles() const { return tiles_; }
 
   /// Raw CSR arrays, exposed for the substrate-level tests.

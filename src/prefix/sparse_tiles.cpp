@@ -14,14 +14,6 @@ void SparseTileIndex::build(int n1, int n2,
   shift_ = -1;
   trows_ = tcols_ = 0;
   grid_.clear();
-#if !RECTPART_TILED_GAMMA_ENABLED
-  (void)n1;
-  (void)n2;
-  (void)row_start;
-  (void)col;
-  (void)cum;
-  return;
-#else
   const std::int64_t nnz = static_cast<std::int64_t>(col.size());
   if (n1 <= 0 || n2 <= 0 || nnz == 0) return;
 
@@ -77,7 +69,6 @@ void SparseTileIndex::build(int n1, int n2,
       for (std::size_t j = j0; j < j1; ++j) row[j] += prev[j];
     }
   });
-#endif
 }
 
 }  // namespace rectpart

@@ -22,20 +22,15 @@
 // memory than the CSR arrays themselves (one int64 per corner ≈ 2/3 of the
 // 12 bytes per stored entry).  The build is one O(nnz) scatter pass folded
 // onto the freshly built CSR arrays, first-touch parallel over tile-row
-// bands like the PrefixSum2D build.  -DRECTPART_TILED_GAMMA=0 compiles the
-// overlay out entirely; every query falls back to the plain row walk and
-// returns bit-identical values (the overlay changes how fast sums are
-// gathered, never which int64 sums are formed).
+// bands like the PrefixSum2D build.  Routed and plain queries return
+// bit-identical values: the overlay changes how fast sums are gathered,
+// never which int64 sums are formed.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "util/simd.hpp"
-
-#ifndef RECTPART_TILED_GAMMA_ENABLED
-#define RECTPART_TILED_GAMMA_ENABLED 1
-#endif
 
 namespace rectpart {
 
@@ -45,8 +40,7 @@ class SparseTileIndex {
 
   /// Builds the corner grid over the finished CSR arrays (row_start: n1+1
   /// offsets, col: column per entry, cum: global running value prefix).
-  /// No-op (overlay disabled) when the instance is empty or the build is
-  /// compiled out.
+  /// No-op (overlay disabled) when the instance is empty.
   void build(int n1, int n2, const std::vector<std::int64_t>& row_start,
              const std::vector<std::int32_t>& col,
              const std::vector<std::int64_t>& cum);

@@ -522,6 +522,14 @@ bool Server::handle_solve(const std::shared_ptr<Connection>& conn,
     inst = std::make_shared<Instance>(std::move(csr));
     cache_.insert(key, inst);
   } else {
+    try {
+      check_dense_loads(a.data(), {a.rows(), a.cols()});
+    } catch (const std::invalid_argument& e) {
+      // A negative cell or an overflowing total; the stream is in sync.
+      rec.error = std::string("bad dense payload: ") + e.what();
+      send_error(conn, h.id, rec.error);
+      return true;
+    }
     inst = std::make_shared<Instance>(std::make_shared<const PrefixSum2D>(a));
     cache_.insert(key, inst);
   }

@@ -39,6 +39,8 @@ class Matrix3 {
     return data_[(static_cast<std::size_t>(x) * n2_ + y) * n3_ + z];
   }
 
+  [[nodiscard]] const T* data() const { return data_.data(); }
+
   [[nodiscard]] auto begin() { return data_.begin(); }
   [[nodiscard]] auto end() { return data_.end(); }
   [[nodiscard]] auto begin() const { return data_.begin(); }

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <string>
 
 #include "io/matrix_io.hpp"
 #include "io/partition_io.hpp"
@@ -238,11 +239,64 @@ TEST_F(IoTest, PgmLoaderSkipsComments) {
 }
 
 TEST_F(IoTest, LargeValuesSurviveBinaryRoundTrip) {
+  // A single INT64_MAX cell is the largest total load the loaders accept.
   LoadMatrix a(2, 2, 0);
   a(0, 0) = std::numeric_limits<std::int64_t>::max();
-  a(1, 1) = 1;
   save_matrix_binary(a, path("big.bin"));
   EXPECT_EQ(load_matrix_binary(path("big.bin")), a);
+}
+
+/// The what() of the std::invalid_argument `load` throws ("" if none).
+template <typename Load>
+std::string rejection(Load load) {
+  try {
+    (void)load();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(IoTest, DenseLoadersRejectANegativeCellNamingIt) {
+  std::ofstream(path("neg.txt")) << "2 3\n1 2 3\n4 -5 6\n";
+  EXPECT_EQ(rejection([&] { return load_matrix_text(path("neg.txt")); }),
+            "cell (1, 1) has negative load -5");
+
+  LoadMatrix a(3, 4, 2);
+  a(2, 1) = -7;
+  a(2, 3) = -1;  // only the first bad cell is named
+  save_matrix_binary(a, path("neg.bin"));
+  EXPECT_EQ(rejection([&] { return load_matrix_binary(path("neg.bin")); }),
+            "cell (2, 1) has negative load -7");
+
+  LoadMatrix3 c(2, 3, 2, 1);
+  c(1, 2, 0) = -3;
+  save_matrix3_binary(c, path("neg3.bin"));
+  EXPECT_EQ(rejection([&] { return load_matrix3_binary(path("neg3.bin")); }),
+            "cell (1, 2, 0) has negative load -3");
+}
+
+TEST_F(IoTest, DenseLoadersRejectATotalPastInt64) {
+  // Every cell is a valid int64 but the running total is not.
+  constexpr std::int64_t kHalf = std::numeric_limits<std::int64_t>::max() / 2;
+  std::ofstream(path("big.txt"))
+      << "1 3\n" << kHalf << ' ' << kHalf << ' ' << 2 << '\n';
+  EXPECT_EQ(rejection([&] { return load_matrix_text(path("big.txt")); }),
+            "cell (0, 2) load 2 takes the total load past 2^63-1");
+
+  LoadMatrix a(2, 2, 0);
+  a(0, 1) = kHalf + 1;
+  a(1, 0) = kHalf + 1;
+  save_matrix_binary(a, path("big.bin"));
+  EXPECT_EQ(rejection([&] { return load_matrix_binary(path("big.bin")); }),
+            "cell (1, 0) load " + std::to_string(kHalf + 1) +
+                " takes the total load past 2^63-1");
+
+  LoadMatrix3 c(1, 1, 2, kHalf + 1);
+  save_matrix3_binary(c, path("big3.bin"));
+  EXPECT_EQ(rejection([&] { return load_matrix3_binary(path("big3.bin")); }),
+            "cell (0, 0, 1) load " + std::to_string(kHalf + 1) +
+                " takes the total load past 2^63-1");
 }
 
 }  // namespace

@@ -609,6 +609,29 @@ TEST_F(ServiceTest, CooLoadsOverflowingInt64AreARequestError) {
   EXPECT_TRUE(client.ping());
 }
 
+TEST_F(ServiceTest, BadDenseCellsAreARequestErrorNotACrash) {
+  // Dense cells are checked after the payload is read, so the stream stays
+  // framed and the connection survives both rejections.
+  constexpr std::int64_t kHalf = std::numeric_limits<std::int64_t>::max() / 2;
+  LoadMatrix negative(8, 8, 1);
+  negative(3, 4) = -2;
+  LoadMatrix overflowing(8, 8, 0);
+  overflowing(0, 0) = kHalf + 1;
+  overflowing(7, 7) = kHalf + 1;
+  ServiceClient client = connect();
+  SolveOptions opt;
+  opt.m = 2;
+  Response r = client.solve(negative, opt);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "bad dense payload: cell (3, 4) has negative load -2");
+  r = client.solve(overflowing, opt);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "bad dense payload: cell (7, 7) load " +
+                         std::to_string(kHalf + 1) +
+                         " takes the total load past 2^63-1");
+  EXPECT_TRUE(client.ping());
+}
+
 TEST_F(ServiceTest, LineageWithACooPayloadIsARequestError) {
   const CooInstance coo = coo_of(make_synthetic("peak", 16, 16, 3, 1.2));
   ServiceClient client = connect();

@@ -25,7 +25,6 @@
 
 #include "core/partition.hpp"
 #include "core/partitioner.hpp"
-#include "hier/hier.hpp"
 #include "io/matrix_io.hpp"
 #include "obs/counters.hpp"
 #include "prefix/load_substrate.hpp"
@@ -370,14 +369,13 @@ TEST(SparseCsr, SparseQueriesCountRowsTouched) {
   const auto before = obs::counters_snapshot();
   // A short partial-width rectangle (row span <= 4T) walks the rows;
   // full-width queries resolve off the running prefix without touching any.
-  ASSERT_TRUE(!csr.tiles().enabled() || csr.tiles().tile() == 1);
+  ASSERT_EQ(csr.tiles().tile(), 1);
   (void)csr.load(1, 4, 0, 5);  // plain walk: visits nonzero rows 1 and 3
   (void)csr.load(0, 7, 0, 9);  // full width: prefix fast path, no rows
   const auto delta = obs::counters_snapshot().delta_since(before);
   EXPECT_EQ(delta[obs::Counter::kSparseRowsTouched], 2u);
 }
 
-#if RECTPART_TILED_GAMMA_ENABLED
 TEST(SparseCsr, TallQueriesRouteThroughTheTiledOverlay) {
   const SparseLoadCSR csr = SparseLoadCSR::from_dense(gappy_matrix());
   ASSERT_TRUE(csr.tiles().enabled());
@@ -391,7 +389,6 @@ TEST(SparseCsr, TallQueriesRouteThroughTheTiledOverlay) {
   EXPECT_EQ(delta[obs::Counter::kTileFringeRows], 0u);
   EXPECT_EQ(delta[obs::Counter::kSparseRowsTouched], 0u);
 }
-#endif  // RECTPART_TILED_GAMMA_ENABLED
 #endif  // RECTPART_OBS_ENABLED
 
 /// A matrix with entire tile rows and tile columns empty at every plausible
@@ -415,6 +412,28 @@ LoadMatrix powerlaw_matrix(int n1, int n2, int nnz, std::uint64_t seed) {
   return a;
 }
 
+/// load() on `csr`, asserting (under RECTPART_OBS) that the query took the
+/// tiled route exactly when the routing predicate says so: a non-empty,
+/// partial-width rectangle spanning more than 4T rows.  Tallies the row
+/// walks in routes[0] and the tiled queries in routes[1].
+std::int64_t routed_load(const SparseLoadCSR& csr, int x0, int x1, int y0,
+                         int y1, int (&routes)[2]) {
+  const bool routable = x0 < x1 && y0 < y1 && !(y0 == 0 && y1 == csr.cols());
+  const bool tiled = routable && x1 - x0 > 4 * csr.tiles().tile();
+  if (routable) ++routes[tiled ? 1 : 0];
+#if RECTPART_OBS_ENABLED
+  const auto before = obs::counters_snapshot();
+  const std::int64_t v = csr.load(x0, x1, y0, y1);
+  const auto delta = obs::counters_snapshot().delta_since(before);
+  EXPECT_EQ(delta[obs::Counter::kTilePrefixHits], tiled ? 1u : 0u)
+      << "T=" << csr.tiles().tile() << " rect " << x0 << " " << x1 << " "
+      << y0 << " " << y1;
+  return v;
+#else
+  return csr.load(x0, x1, y0, y1);
+#endif
+}
+
 TEST(SparseCsr, TiledAndPlainLoadsMatchDenseOnBoundaryAndRandomRects) {
   // The tiled overlay's equality fuzz: gappy (T == 1), power-law instances
   // sized to land at larger tile sizes, and an instance with entire tile
@@ -422,14 +441,17 @@ TEST(SparseCsr, TiledAndPlainLoadsMatchDenseOnBoundaryAndRandomRects) {
   // the interior/fringe split degenerates) plus tall spans that cross the
   // 4T routing threshold in both directions; a random-rect sweep follows.
   // Every load must equal the dense Γ answer bit for bit — on the straight
-  // view and on the mirror.
+  // view and on the mirror — and, with counters compiled in, every query
+  // must take the route the x1 - x0 > 4T predicate names, so both the tiled
+  // and the plain walk are shown to run and to agree with dense Γ.
   const std::vector<LoadMatrix> instances = {
       gappy_matrix(), powerlaw_matrix(130, 97, 800, 3),
       powerlaw_matrix(180, 150, 1200, 9), empty_tile_matrix(160, 144)};
   for (const LoadMatrix& a : instances) {
     const PrefixSum2D ps(a);
     const SparseLoadCSR csr = SparseLoadCSR::from_dense(a);
-    const int tile = csr.tiles().enabled() ? csr.tiles().tile() : 8;
+    const int tile = csr.tiles().tile();
+    int routes[2] = {0, 0};
     auto marks = [&](int n) {
       std::vector<int> v{0, 1, tile - 1, tile, tile + 1, 4 * tile,
                          4 * tile + 1, 4 * tile + 2, n / 2, n - 4 * tile - 1,
@@ -446,10 +468,11 @@ TEST(SparseCsr, TiledAndPlainLoadsMatchDenseOnBoundaryAndRandomRects) {
         for (int y0 : ys)
           for (int y1 : ys) {
             if (x0 > x1 || y0 > y1) continue;
-            ASSERT_EQ(csr.load(x0, x1, y0, y1), ps.load(x0, x1, y0, y1))
+            ASSERT_EQ(routed_load(csr, x0, x1, y0, y1, routes),
+                      ps.load(x0, x1, y0, y1))
                 << "T=" << tile << " rect " << x0 << " " << x1 << " " << y0
                 << " " << y1;
-            ASSERT_EQ(csr.transposed().load(y0, y1, x0, x1),
+            ASSERT_EQ(routed_load(csr.transposed(), y0, y1, x0, x1, routes),
                       ps.load(x0, x1, y0, y1));
           }
     Rng rng(77);
@@ -460,10 +483,13 @@ TEST(SparseCsr, TiledAndPlainLoadsMatchDenseOnBoundaryAndRandomRects) {
       int y1 = static_cast<int>(rng.next_u64() % (a.cols() + 1));
       if (x0 > x1) std::swap(x0, x1);
       if (y0 > y1) std::swap(y0, y1);
-      ASSERT_EQ(csr.load(x0, x1, y0, y1), ps.load(x0, x1, y0, y1))
+      ASSERT_EQ(routed_load(csr, x0, x1, y0, y1, routes),
+                ps.load(x0, x1, y0, y1))
           << "T=" << tile << " rect " << x0 << " " << x1 << " " << y0 << " "
           << y1;
     }
+    EXPECT_GT(routes[0], 0) << "T=" << tile << ": no plain walk ran";
+    EXPECT_GT(routes[1], 0) << "T=" << tile << ": no tiled query ran";
   }
 }
 
@@ -627,29 +653,6 @@ TEST(SparseGolden, EveryEngineMatchesItsDenseTwinAndItsPinnedHash) {
     }
   }
   set_threads(1);
-}
-
-TEST(SparseGolden, HierOptSolvesSparseNativelyAndMatchesItsDensifiedRun) {
-  // The densify_below knob's invariance: densify_below = 0 (never densify)
-  // runs the exact DP on the CSR substrate with projection-backed leaf
-  // probes, and must produce the same partition as the default
-  // (densify_below = 256 densifies anything inside the DP envelope —
-  // measured ~1.2x faster by the micro_sparse sweep).  Because the two runs
-  // are bit-identical, the hier-opt hash in
-  // EveryEngineMatchesItsDenseTwinAndItsPinnedHash pins the native sparse
-  // run as much as the densified default, at threads 1 and 8.
-  const std::vector<SparseLoadCSR> instances = pinned_sparse_instances();
-  HierOptions native_opt;
-  native_opt.densify_below = 0;
-  for (const SparseLoadCSR& csr : instances) {
-    for (const int m : {2, 9, 16}) {
-      const Partition native = hier_opt(csr, m, native_opt);
-      const Partition densified = hier_opt(csr, m);
-      ASSERT_EQ(native.rects, densified.rects)
-          << "hier-opt: native-sparse and densified partitions diverge "
-          << "(m=" << m << ")";
-    }
-  }
 }
 
 }  // namespace
