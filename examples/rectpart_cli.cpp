@@ -16,6 +16,7 @@
 //   ./rectpart_cli --family=powerlaw --n=1048576 --nnz=16777216 \
 //                  --gen-coo=web.rpc   (generate + save, no solve)
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <memory>
 
@@ -34,10 +35,11 @@
 #include "util/timer.hpp"
 #include "workloads/synthetic.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const rectpart::Flags& flags) {
   using namespace rectpart;
   register_builtin_partitioners();
-  const Flags flags(argc, argv);
 
   if (flags.get_bool("list", false)) {
     Table table({"algorithm", "family", "kind", "paper", "substrates"});
@@ -253,4 +255,18 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const rectpart::Flags flags(argc, argv);
+  // A malformed matrix or COO file, a negative cell, or an unknown engine
+  // ends in one line naming it and exit 2, as in rectpart_clientctl.
+  try {
+    return run(flags);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", flags.program().c_str(), e.what());
+    return 2;
+  }
 }

@@ -15,7 +15,9 @@
 #
 # After an *intentional* change to the partitioning work (new pruning rule,
 # different probe order, ...), regenerate and commit the baselines; --regen
-# rewrites only the files whose diff fails or reports a new record:
+# rewrites only the files whose diff fails or reports a new record, and when
+# a diff fails only on records the bench no longer produces it deletes just
+# those record lines, leaving every other line byte-identical:
 #
 #     scripts/bench_gate.sh --regen
 #     git add bench/baselines/ && git commit
@@ -36,7 +38,7 @@ for arg in "$@"; do
   case "$arg" in
     --regen) regen=1 ;;
     -h|--help)
-      sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *) build=$arg ;;
@@ -86,6 +88,25 @@ run_micro_sparse() {
     --seed=1 --threads=1 >/dev/null
 }
 
+# drop_records BASELINE KEYS-FILE: deletes the record lines whose benchstat
+# key (algorithm|instance|m=M|t=T) is listed in KEYS-FILE and strips the
+# trailing comma the new last record inherits; every other line is kept
+# byte for byte.  BenchJson writes one record per line, fields in this order.
+drop_records() {
+  awk -v keys="$2" '
+    BEGIN { while ((getline k < keys) > 0) drop[k] = 1 }
+    /^    \{"algorithm": / {
+      split($0, q, "\"")
+      m = q[11]; t = q[13]
+      gsub(/[^0-9]/, "", m); gsub(/[^0-9]/, "", t)
+      if ((q[4] "|" q[8] "|m=" m "|t=" t) in drop) next
+    }
+    /^  \]/ { sub(/,$/, "", held) }
+    { if (n++) print held; held = $0 }
+    END { if (n) print held }
+  ' "$1" >"$1.tmp" && mv "$1.tmp" "$1"
+}
+
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 status=0
@@ -96,9 +117,16 @@ for name in micro_core micro_oned fig06_runtime micro_service micro_sparse; do
   if [[ $regen -eq 1 ]]; then
     # Rewrite only a baseline whose gate fails or that lacks a record, so a
     # regeneration leaves the wall-clock fields of undrifted benches alone.
+    diff_out=
     if [[ -f "$base" ]] && diff_out=$("$benchstat" diff "$base" "$fresh") &&
        ! grep -q '^# new record' <<<"$diff_out"; then
       echo "bench_gate: $name unchanged"
+    elif grep -q '^MISSING RECORD' <<<"$diff_out" &&
+         ! grep -Eq '^(COUNTER DRIFT|# new record)' <<<"$diff_out"; then
+      sed -n 's/^MISSING RECORD \(.*\) (in baseline, not in current)$/\1/p' \
+        <<<"$diff_out" >"$tmp/missing"
+      drop_records "$base" "$tmp/missing"
+      echo "bench_gate: dropped $(wc -l <"$tmp/missing") record(s) from $base"
     else
       cp "$fresh" "$base"
       echo "bench_gate: regenerated $base"

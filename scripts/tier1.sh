@@ -156,9 +156,10 @@ build-tsan/tests/test_util --gtest_filter='ThreadPool*'
 # (per-request histograms, access log, flight recorder, metrics scrapes)
 # all race-checked at a forced multi-thread pool width.
 RECTPART_THREADS=4 build-tsan/tests/test_service
-# The telemetry registry's sharded write path (1-vs-8-thread merge
-# invariance test hammers concurrent observe()).
-RECTPART_THREADS=4 build-tsan/tests/test_obs --gtest_filter='Telemetry*'
+# The shared per-thread shard: work counters and the telemetry registry
+# (concurrent count() and observe() against live snapshots, the 1-vs-8-thread
+# merge invariance, and the engines' counting at a forced pool width).
+RECTPART_THREADS=4 build-tsan/tests/test_obs
 # The threaded simulator and stripe-DP suites, forced to a multi-thread pool
 # (the container may report a single CPU, which would otherwise degrade the
 # whole run to sequential and hide every race from TSan).

@@ -154,8 +154,8 @@ int print_diff(const BenchFile& baseline, const BenchFile& current,
                                     const std::vector<std::string>& required);
 
 /// The completeness set for a daemon scrape: "rectpart_work_<name>" for
-/// every compiled-in obs counter (the spelling counters_to_prometheus
-/// exports them under).
+/// every compiled-in obs counter (the spelling the global telemetry
+/// registry exposes them under).
 [[nodiscard]] std::vector<std::string> required_work_metrics();
 
 }  // namespace rectpart::benchstat

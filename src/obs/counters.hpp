@@ -1,5 +1,5 @@
-// Work counters: a fixed registry of named monotonic counters aggregated
-// per-thread and merged deterministically.
+// Work counters: the fixed rows of obs/counters.def, counted per thread and
+// merged deterministically.
 //
 // The partitioning hot paths count *algorithmic work* (probe calls, DP cells,
 // cache hits) rather than time, so two runs can be compared structurally:
@@ -7,11 +7,13 @@
 // papers use to justify algorithmic choices, and what the roadmap's
 // "profile first" gate on the work-stealing deque needs.
 //
-// Cost model: an increment is one relaxed store into a thread-local cache
-// line — no sharing, no RMW.  Snapshots merge the per-thread blocks with
-// commutative operators (sum, or max for watermarks), so the merged totals
-// are independent of thread registration order.  Building with
-// -DRECTPART_OBS=0 compiles every counting macro to a no-op.
+// Storage: the counters are the global telemetry registry's first series
+// (obs/telemetry.hpp).  An increment is one thread-local pointer plus one
+// relaxed load+store into a cell only this thread writes — no sharing, no
+// RMW.  Snapshots merge the threads' cells with commutative operators (sum,
+// or max for watermarks), so the merged totals are independent of thread
+// registration order.  Building with -DRECTPART_OBS=0 compiles every
+// counting macro to a no-op.
 //
 // Determinism: counters marked scheduling_dependent() == false count
 // operations whose number is a pure function of the algorithm's control
@@ -81,27 +83,30 @@ struct CounterSnapshot {
 
 #if RECTPART_OBS_ENABLED
 
-/// Adds n to this thread's slot for c.  Cost: one relaxed load+store.
+/// Adds n to this thread's cell for c.  Cost: one relaxed load+store.
 void count(Counter c, std::uint64_t n = 1);
 
-/// Raises this thread's watermark slot for c to at least `value`.
+/// Raises this thread's watermark cell for c to at least `value`.
 void count_max(Counter c, std::uint64_t value);
+
+/// Deterministic merge of every thread's cells (including threads that have
+/// since exited — their shards are retired, not freed).
+[[nodiscard]] CounterSnapshot counters_snapshot();
+
+/// Zeroes every thread's cells.  Racing increments are not lost silently —
+/// they land in the zeroed cells — but reset while runs are in flight makes
+/// the next snapshot a partial view; benches reset between workloads, not
+/// inside one.
+void counters_reset();
 
 #else
 
 inline void count(Counter, std::uint64_t = 1) {}
 inline void count_max(Counter, std::uint64_t) {}
+[[nodiscard]] inline CounterSnapshot counters_snapshot() { return {}; }
+inline void counters_reset() {}
 
 #endif
-
-/// Deterministic merge of every thread's block (including threads that have
-/// since exited — their blocks are retired, not freed).
-[[nodiscard]] CounterSnapshot counters_snapshot();
-
-/// Zeroes every block.  Racing increments are not lost silently — they land
-/// in the zeroed slots — but reset while runs are in flight makes the next
-/// snapshot a partial view; benches reset between workloads, not inside one.
-void counters_reset();
 
 }  // namespace rectpart::obs
 

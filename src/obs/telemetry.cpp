@@ -324,13 +324,7 @@ std::string to_prometheus(const TelemetrySnapshot& s) {
           out += p.name;
           out += "_bucket";
           std::string le;
-          {
-            char buf[24];
-            std::snprintf(buf, sizeof(buf), "%llu",
-                          static_cast<unsigned long long>(
-                              HistogramBuckets::upper_bound(i)));
-            le = buf;
-          }
+          append_u64(le, HistogramBuckets::upper_bound(i));
           append_labels(out, p.labels, "le", le);
           out += ' ';
           append_u64(out, cum);
@@ -361,25 +355,6 @@ std::string to_prometheus(const TelemetrySnapshot& s) {
   return out;
 }
 
-std::string counters_to_prometheus(const CounterSnapshot& s) {
-  std::string out;
-  for (int i = 0; i < kCounterCount; ++i) {
-    const auto c = static_cast<Counter>(i);
-    std::string name = "rectpart_work_";
-    name += counter_name(c);
-    out += "# TYPE ";
-    out += name;
-    // Watermarks can move down after a reset and merge by max: a gauge in
-    // Prometheus terms.  Everything else is a monotonic counter.
-    out += counter_is_watermark(c) ? " gauge\n" : " counter\n";
-    out += name;
-    out += ' ';
-    append_u64(out, s.v[i]);
-    out += '\n';
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
@@ -388,12 +363,15 @@ std::string counters_to_prometheus(const CounterSnapshot& s) {
 
 namespace {
 
-// One per (thread, registry): a fixed table of lazily allocated cell arrays,
-// one per series.  Only the owning thread writes the cells (relaxed
-// load+store, no RMW); snapshots read them concurrently — the counters.cpp
-// discipline.
-struct Shard {
+// One per (thread, registry).  Only the owning thread writes the cells
+// (relaxed load+store, no RMW); snapshots read them concurrently, and a torn
+// read is impossible for a 64-bit atomic, so a snapshot taken mid-run is a
+// consistent lower bound per cell.  `work` holds the obs/counters.def rows
+// inline (written only in the global registry's shards) so count() needs no
+// lookup; dynamic series get a lazily allocated cell array each.
+struct alignas(64) Shard {
   using Cell = std::atomic<std::uint64_t>;
+  std::array<Cell, kCounterCount> work{};
   std::array<std::atomic<Cell*>, Telemetry::kMaxSeries> cells{};
   ~Shard() {
     for (auto& c : cells) delete[] c.load(std::memory_order_relaxed);
@@ -404,42 +382,79 @@ struct SeriesInfo {
   std::string name;
   MetricLabels labels;  // canonical
   MetricKind kind;
-  std::string sort_key;
 };
 
 std::atomic<std::uint64_t> g_registry_uids{0};
 
-// Thread-local shard directory keyed by registry uid.  Entries for destroyed
-// registries go stale harmlessly: the uid never recurs, so the dangling
-// pointer is never followed.
+// This thread's shard of the global registry (Impl::global_shard).
+thread_local Shard* t_global_shard = nullptr;
+
+// Shards of every other registry, keyed by registry uid.  Entries for
+// destroyed registries go stale harmlessly: the uid never recurs, so the
+// dangling pointer is never followed.
 thread_local std::vector<std::pair<std::uint64_t, Shard*>> t_shards;
 
 }  // namespace
 
 struct Telemetry::Impl {
+  explicit Impl(bool work) : work_series(work) {}
+
+  const bool work_series;  // the global registry: shards carry work cells
   std::uint64_t uid = g_registry_uids.fetch_add(1) + 1;
   mutable std::mutex mu;
   std::vector<SeriesInfo> series;
   std::unordered_map<std::string, int> index;  // series_key -> id
   std::unordered_map<std::string, std::pair<MetricKind, std::string>> names;
   std::vector<std::int64_t> gauges;            // level per id (mu-guarded)
+  // Shards live until the registry dies: a thread that exits (e.g. a pool
+  // torn down by set_threads) retires its shard with the counts intact, so
+  // totals stay monotonic across pool reconfigurations.
   std::vector<std::unique_ptr<Shard>> shards;  // list mu-guarded; cells not
   // Cells per series, readable off-mutex by install_cells: written once at
   // registration (release) before the id escapes, loaded with acquire.
   std::array<std::atomic<int>, kMaxSeries> cell_counts{};
 
-  Shard& local_shard() {
-    for (const auto& [uid_i, shard] : t_shards)
-      if (uid_i == uid) return *shard;
+  // Allocates and publishes this thread's shard.
+  Shard& new_shard() {
     auto owned = std::make_unique<Shard>();
     Shard* shard = owned.get();
     {
       std::lock_guard<std::mutex> lock(mu);
       shards.push_back(std::move(owned));
     }
-    t_shards.emplace_back(uid, shard);
-    RECTPART_COUNT(kTelemetryShardAllocs, 1);
+    if (work_series)
+      t_global_shard = shard;
+    else
+      t_shards.emplace_back(uid, shard);
     return *shard;
+  }
+
+  // This thread's shard of the global registry.  Every counting thread has
+  // one, so opening it is not a telemetry shard allocation and ticks nothing
+  // — which is also what lets count() open it.
+  static Shard& global_shard() {
+    Shard* shard = t_global_shard;
+    return shard != nullptr ? *shard : telemetry().impl_->new_shard();
+  }
+
+  Shard& local_shard() {
+    if (work_series) return global_shard();
+    for (const auto& [uid_i, shard] : t_shards)
+      if (uid_i == uid) return *shard;
+    Shard& shard = new_shard();
+    RECTPART_COUNT(kTelemetryShardAllocs, 1);
+    return shard;
+  }
+
+  // Work totals across every shard; caller holds mu.
+  CounterSnapshot work_totals() const {
+    CounterSnapshot total, one;
+    for (const auto& shard : shards) {
+      for (int i = 0; i < kCounterCount; ++i)
+        one.v[i] = shard->work[i].load(std::memory_order_relaxed);
+      total.merge(one);
+    }
+    return total;
   }
 
   Shard::Cell* install_cells(Shard& shard, int id) {
@@ -455,7 +470,7 @@ struct Telemetry::Impl {
                       MetricLabels labels, const char* help) {
     labels = canonical(std::move(labels));
     const std::string key = series_key(name, labels);
-    std::lock_guard<std::mutex> lock(mu);
+    std::unique_lock<std::mutex> lock(mu);
     if (auto it = index.find(key); it != index.end()) {
       if (series[static_cast<std::size_t>(it->second)].kind != kind)
         throw std::logic_error("telemetry: series '" + name +
@@ -477,14 +492,17 @@ struct Telemetry::Impl {
                                        : 1,
         std::memory_order_release);
     gauges.push_back(0);
-    series.push_back(SeriesInfo{name, std::move(labels), kind, key});
+    series.push_back(SeriesInfo{name, std::move(labels), kind});
     index.emplace(key, id);
+    lock.unlock();  // count() may open this thread's shard, which takes mu
     RECTPART_COUNT(kTelemetrySeries, 1);
     return id;
   }
 };
 
-Telemetry::Telemetry() : impl_(new Impl) {}
+Telemetry::Telemetry() : Telemetry(false) {}
+
+Telemetry::Telemetry(bool work_series) : impl_(new Impl(work_series)) {}
 
 Telemetry::~Telemetry() { delete impl_; }
 
@@ -512,9 +530,6 @@ void Telemetry::add(int id, std::uint64_t n) {
   Shard::Cell* cells =
       shard.cells[static_cast<std::size_t>(id)].load(std::memory_order_acquire);
   if (cells == nullptr) cells = impl_->install_cells(shard, id);
-  // Single-writer cells: a relaxed load+store of a 64-bit slot the snapshot
-  // reader may see either side of — same torn-read-free argument as
-  // counters.cpp.
   cells[0].store(cells[0].load(std::memory_order_relaxed) + n,
                  std::memory_order_relaxed);
   RECTPART_COUNT(kTelemetryObservations, 1);
@@ -545,7 +560,23 @@ void Telemetry::observe(int id, std::uint64_t v) {
 TelemetrySnapshot Telemetry::snapshot() const {
   TelemetrySnapshot out;
   std::lock_guard<std::mutex> lock(impl_->mu);
-  out.series.reserve(impl_->series.size());
+  out.series.reserve(impl_->series.size() + kCounterCount);
+  if (impl_->work_series) {
+    const CounterSnapshot work = impl_->work_totals();
+    for (int i = 0; i < kCounterCount; ++i) {
+      const auto c = static_cast<Counter>(i);
+      MetricPoint p;
+      p.name = std::string("rectpart_work_") + counter_name(c);
+      // A watermark merges by max and falls after a reset: a gauge.
+      if (counter_is_watermark(c)) {
+        p.kind = MetricKind::kGauge;
+        p.gauge_value = static_cast<std::int64_t>(work.v[i]);
+      } else {
+        p.value = work.v[i];
+      }
+      out.series.push_back(std::move(p));
+    }
+  }
   for (std::size_t id = 0; id < impl_->series.size(); ++id) {
     const SeriesInfo& info = impl_->series[id];
     MetricPoint p;
@@ -598,13 +629,45 @@ int Telemetry::series_count() const {
   return static_cast<int>(impl_->series.size());
 }
 
-#endif  // RECTPART_OBS_ENABLED
-
 Telemetry& telemetry() {
-  // Leaked, like the counter blocks: late increments from detached-thread
-  // destructors must land in live storage.
-  static auto* t = new Telemetry();
+  // Leaked: late increments from detached-thread destructors must land in
+  // live storage.
+  static auto* t = new Telemetry(true);
   return *t;
 }
+
+void count(Counter c, std::uint64_t n) {
+  auto& cell = Telemetry::Impl::global_shard().work[static_cast<int>(c)];
+  cell.store(cell.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
+}
+
+void count_max(Counter c, std::uint64_t value) {
+  auto& cell = Telemetry::Impl::global_shard().work[static_cast<int>(c)];
+  if (value > cell.load(std::memory_order_relaxed))
+    cell.store(value, std::memory_order_relaxed);
+}
+
+CounterSnapshot counters_snapshot() {
+  const Telemetry::Impl& g = *telemetry().impl_;
+  std::lock_guard<std::mutex> lock(g.mu);
+  return g.work_totals();
+}
+
+void counters_reset() {
+  Telemetry::Impl& g = *telemetry().impl_;
+  std::lock_guard<std::mutex> lock(g.mu);
+  for (const auto& shard : g.shards)
+    for (auto& cell : shard->work) cell.store(0, std::memory_order_relaxed);
+}
+
+#else  // !RECTPART_OBS_ENABLED
+
+Telemetry& telemetry() {
+  static Telemetry t;
+  return t;
+}
+
+#endif  // RECTPART_OBS_ENABLED
 
 }  // namespace rectpart::obs

@@ -1,22 +1,24 @@
 // Telemetry plane: a live registry of counters, gauges, and log-bucketed
-// latency histograms, with Prometheus text-exposition and JSON renderers.
+// latency histograms, with Prometheus text-exposition and JSON renderers —
+// per-engine latency percentiles, cache occupancy, in-flight connections.
+// The daemon's `metrics` protocol op and tools/rectpart_top read the
+// process-global registry.  Keep the namespace distinct from
+// core/metrics.hpp, which is partition-quality math.
 //
-// This is the serving-side complement to counters.hpp: the work counters
-// answer "what work did that run do?" after the fact, while the telemetry
-// registry answers "what is the process doing right now?" — per-engine
-// latency percentiles, cache occupancy, in-flight connections — and is what
-// the daemon's `metrics` protocol op and tools/rectpart_top read.  Keep the
-// namespace distinct from core/metrics.hpp, which is partition-quality math.
+// The global registry's first series are obs/counters.def's work counters,
+// rectpart_work_<name> (watermarks as gauges): always present, outside the
+// kMaxSeries slots, written by obs::count() into cells inline in the same
+// per-thread shard.  Registries a caller constructs carry none.
 //
-// Recording discipline (same as counters.cpp): the hot path is lock-free —
-// one thread-local shard per (thread, registry), each series a cache-line
-// block of plain 64-bit atomic cells written only by the owning thread with
-// relaxed stores.  Snapshots merge shards with commutative sums, so the
-// merged histogram is bit-identical for a given multiset of observations at
-// any thread count — which is what lets deterministic telemetry totals join
-// the bench_gate.sh counter baselines.  Series registration and gauge writes
-// take a registry mutex; they are rare (registration happens once per label
-// set, gauges a handful of times per request).
+// Recording discipline: the hot path is lock-free — one thread-local shard
+// per (thread, registry), each series a block of plain 64-bit atomic cells
+// written only by the owning thread with relaxed stores.  Snapshots merge
+// shards with commutative sums, so the merged histogram is bit-identical for
+// a given multiset of observations at any thread count — which is what lets
+// deterministic telemetry totals join the bench_gate.sh counter baselines.
+// Series registration and gauge writes take a registry mutex; they are rare
+// (registration happens once per label set, gauges a handful of times per
+// request).
 //
 // Histogram buckets are logarithmic with 4 sub-buckets per octave
 // (HDR-style): bucket 0 holds exact zeros, values 1..3 get exact buckets,
@@ -131,12 +133,6 @@ struct TelemetrySnapshot {
 /// with _sum and _count.
 [[nodiscard]] std::string to_prometheus(const TelemetrySnapshot& s);
 
-/// Renders the work-counter registry as Prometheus samples named
-/// rectpart_work_<counter_name> (gauge for watermarks, counter otherwise).
-/// Every registered counter is always present — the contract `benchstat
-/// promcheck` enforces on scraped expositions.
-[[nodiscard]] std::string counters_to_prometheus(const CounterSnapshot& s);
-
 /// Invalid series handle: every record call on it is a no-op.  Returned when
 /// the registry is full or the plane is compiled out.
 inline constexpr int kInvalidMetric = -1;
@@ -179,6 +175,15 @@ class Telemetry {
  private:
   struct Impl;
   Impl* impl_;
+
+  // The global registry's shards hold the work-counter cells, which the
+  // obs/counters.hpp functions read and write directly.
+  explicit Telemetry(bool work_series);
+  friend Telemetry& telemetry();
+  friend void count(Counter, std::uint64_t);
+  friend void count_max(Counter, std::uint64_t);
+  friend CounterSnapshot counters_snapshot();
+  friend void counters_reset();
 };
 
 #else  // !RECTPART_OBS_ENABLED

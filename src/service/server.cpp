@@ -751,8 +751,7 @@ void Server::dump_flight(const char* reason) {
 void Server::fill_metrics_response(Response* r) const {
   const obs::TelemetrySnapshot snap = obs::telemetry().snapshot();
   r->telemetry_json = snap.to_json();
-  r->metrics_text =
-      to_prometheus(snap) + counters_to_prometheus(obs::counters_snapshot());
+  r->metrics_text = to_prometheus(snap);
   r->counters_json = obs::counters_snapshot().to_json();
 }
 

@@ -346,23 +346,26 @@ TEST(Promcheck, RejectsIncoherentHistograms) {
 
 TEST(Promcheck, LiveTelemetryExpositionPassesItsOwnGate) {
 #if RECTPART_OBS_ENABLED
-  // End-to-end: a registry snapshot rendered by to_prometheus, plus the
-  // work-counter bridge, must satisfy promcheck with the full completeness
-  // set — the exact pairing tier1.sh exercises against the daemon.
-  obs::Telemetry tele;
-  const int h = tele.histogram("rectpart_request_duration_us",
+  // End-to-end: the process-global registry rendered by to_prometheus alone
+  // must satisfy promcheck with the full completeness set — its work series
+  // are what tier1.sh's daemon scrape is held to.
+  obs::Telemetry& tele = obs::telemetry();
+  const int h = tele.histogram("rectpart_promcheck_test_us",
                                {{"engine", "jag\"m\\heur"}});
   tele.observe(h, 0);
   tele.observe(h, 12345);
   tele.observe(h, (std::uint64_t{1} << 41));  // overflow bucket
-  const int c = tele.counter("rectpart_requests_total", {{"op", "solve"}});
+  const int c =
+      tele.counter("rectpart_promcheck_test_total", {{"op", "solve"}});
   tele.add(c, 2);
-  const std::string text = obs::to_prometheus(tele.snapshot()) +
-                           obs::counters_to_prometheus(
-                               obs::counters_snapshot());
+  RECTPART_COUNT_MAX(kPoolQueueHighWatermark, 3);  // a watermark gauge
+  const std::string text = obs::to_prometheus(tele.snapshot());
   const std::string err =
       benchstat::promcheck(text, benchstat::required_work_metrics());
   EXPECT_EQ(err, "") << text;
+  EXPECT_NE(text.find("# TYPE rectpart_work_pool_queue_high_watermark gauge"),
+            std::string::npos)
+      << text;
 #endif
 }
 

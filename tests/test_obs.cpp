@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cmath>
@@ -683,6 +684,82 @@ TEST(TelemetryRegistry, SnapshotJsonParsesAndNamesSeries) {
   ASSERT_EQ(series->items().size(), 1u);
   EXPECT_EQ(series->items()[0].get_string("name", ""), "lat_us");
   EXPECT_EQ(series->items()[0].get_int("count", 0), 1);
+}
+
+// Work counters and telemetry share the global registry's per-thread shard:
+// eight writers, each counting and observing, race a reader that snapshots
+// both views; after the join every total is exact.
+TEST(TelemetryRegistry, WorkCountersAndObservationsShareOneShard) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 5000;
+  obs::Telemetry& tele = obs::telemetry();
+  const int h = tele.histogram("rectpart_shared_shard_test_us");
+  const CounterSnapshot before = obs::counters_snapshot();
+
+  std::atomic<bool> done{false};
+  std::thread reader([&done, &tele]() {
+    std::uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const std::uint64_t now =
+          obs::counters_snapshot()[Counter::kPicmagParticlesPushed];
+      EXPECT_GE(now, last);  // shards only grow between resets
+      last = now;
+      (void)tele.snapshot();
+    }
+  });
+  std::vector<std::thread> writers;
+  writers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&tele, h, t]() {
+      for (int i = 0; i < kPerThread; ++i) {
+        obs::count(Counter::kPicmagParticlesPushed, 2);
+        tele.observe(h, static_cast<std::uint64_t>(t));
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  constexpr std::uint64_t kOps = std::uint64_t{kThreads} * kPerThread;
+  const CounterSnapshot after = obs::counters_snapshot();
+  const CounterSnapshot work = after.delta_since(before);
+  EXPECT_EQ(work[Counter::kPicmagParticlesPushed], 2 * kOps);
+  EXPECT_EQ(work[Counter::kTelemetryObservations], kOps);
+
+  const obs::TelemetrySnapshot s = tele.snapshot();
+  const obs::MetricPoint* hist = s.find("rectpart_shared_shard_test_us", {});
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->count(), kOps);
+  EXPECT_EQ(hist->sum, std::uint64_t{kPerThread} * (kThreads - 1) *
+                           kThreads / 2);
+  const obs::MetricPoint* pushed =
+      s.find("rectpart_work_picmag_particles_pushed", {});
+  ASSERT_NE(pushed, nullptr);
+  EXPECT_EQ(pushed->kind, obs::MetricKind::kCounter);
+  EXPECT_EQ(pushed->value, after[Counter::kPicmagParticlesPushed]);
+}
+
+// The work series are not telemetry observations: counting must not tick
+// telemetry_observations (nor recurse into itself doing so).
+TEST(TelemetryRegistry, WorkCountsTickNoTelemetryObservation) {
+  const CounterSnapshot before = obs::counters_snapshot();
+  for (int i = 0; i < 1000; ++i) RECTPART_COUNT(kHierNodes, 1);
+  const CounterSnapshot work = obs::counters_snapshot().delta_since(before);
+  EXPECT_EQ(work[Counter::kHierNodes], 1000u);
+  EXPECT_EQ(work[Counter::kTelemetryObservations], 0u);
+  EXPECT_EQ(work[Counter::kTelemetrySeries], 0u);
+}
+
+// A thread's first touch of the global registry may be a registration: its
+// telemetry_series tick opens the thread's shard, which takes the registry
+// mutex, so the tick must come after registration releases it.
+TEST(TelemetryRegistry, FreshThreadRegistersIntoTheGlobalRegistry) {
+  int id = obs::kInvalidMetric;
+  std::thread([&id]() {
+    id = obs::telemetry().counter("rectpart_fresh_thread_test_total");
+  }).join();
+  EXPECT_NE(id, obs::kInvalidMetric);
 }
 
 TEST(TelemetryRegistry, EngineRunsObserveThroughRunContext) {

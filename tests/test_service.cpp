@@ -870,7 +870,7 @@ TEST_F(ServiceTest, MetricsOpServesExpositionAndTelemetryJson) {
   // ...including both cache verdict label values after hit + miss.
   EXPECT_NE(m.metrics_text.find("cache=\"miss\""), std::string::npos);
   EXPECT_NE(m.metrics_text.find("cache=\"hit\""), std::string::npos);
-  // The work-counter bridge is present (promcheck's completeness set).
+  // The work series are present (promcheck's completeness set).
   EXPECT_NE(m.metrics_text.find("rectpart_work_service_requests"),
             std::string::npos);
 #endif
@@ -883,6 +883,42 @@ TEST_F(ServiceTest, MetricsOpServesExpositionAndTelemetryJson) {
   ASSERT_NE(series, nullptr);
   EXPECT_TRUE(series->is_array());
 }
+
+#if RECTPART_OBS_ENABLED
+// The work counters are the global registry's first series: one scrape
+// carries each rectpart_work_* sample exactly once, at the value the
+// counters op reports.  The only difference is the metrics op's own
+// rectpart_requests_total tick, one telemetry observation, taken between
+// the two reads.
+TEST_F(ServiceTest, MetricsCarryEachWorkCounterOnceAtItsCountersValue) {
+  ServiceClient client = connect();
+  ASSERT_TRUE(client.solve(random_matrix(16, 16, 0, 9, 5), SolveOptions{}).ok);
+  const std::string counters = client.counters_json();
+  const Response m = client.metrics();
+  ASSERT_TRUE(m.ok) << m.error;
+  std::string error;
+  const auto doc = json_parse(counters, &error);
+  ASSERT_TRUE(doc.has_value()) << error << "\n" << counters;
+
+  for (int i = 0; i < obs::kCounterCount; ++i) {
+    const auto c = static_cast<obs::Counter>(i);
+    const std::string name = std::string("rectpart_work_") +
+                             obs::counter_name(c);
+    int samples = 0;
+    for (std::size_t pos = m.metrics_text.find(name + ' ');
+         pos != std::string::npos;
+         pos = m.metrics_text.find(name + ' ', pos + 1))
+      if (pos == 0 || m.metrics_text[pos - 1] == '\n') ++samples;
+    EXPECT_EQ(samples, 1) << name;
+    const auto reported =
+        static_cast<std::uint64_t>(doc->get_int(obs::counter_name(c), -1));
+    const std::uint64_t metrics_op_tick =
+        c == obs::Counter::kTelemetryObservations ? 1 : 0;
+    EXPECT_EQ(scrape_value(m.metrics_text, name), reported + metrics_op_tick)
+        << name;
+  }
+}
+#endif
 
 class AccessLogTest : public ServiceTest {
  protected:
