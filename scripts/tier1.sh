@@ -132,16 +132,21 @@ echo "== tier-1: RECTPART_SIMD=0 + UBSan (scalar fallback bit-identity) =="
 # pass on the scalar bodies, and — the substance — the scalar build's
 # deterministic counters must equal the SIMD-build baselines exactly
 # (bench_gate run against this tree), proving the data plane changes how
-# fast the work happens, never what work happens.
+# fast the work happens, never what work happens.  The undefined preset
+# compiles with -fno-sanitize-recover=all, so any UBSan report fails the
+# stage.  test_service runs here too: the daemon parses untrusted headers,
+# and its overflow tests (cell extent, deadline) only bite under UBSan.
 cmake -B build-scalar -S . -DRECTPART_SIMD=0 -DRECTPART_SANITIZE=undefined \
   >/dev/null
 cmake --build build-scalar -j "$jobs" \
   --target test_parallel test_stripe_projection test_simd test_prefix_sum \
-  benchstat micro_core micro_oned micro_service micro_sparse fig06_runtime
+  test_service benchstat micro_core micro_oned micro_service micro_sparse \
+  fig06_runtime
 build-scalar/tests/test_simd
 build-scalar/tests/test_prefix_sum
 build-scalar/tests/test_stripe_projection
 build-scalar/tests/test_parallel --gtest_filter='ParallelLayer*'
+build-scalar/tests/test_service
 scripts/bench_gate.sh build-scalar
 
 echo "== tier-1: ThreadSanitizer (thread pool + determinism suites) =="

@@ -276,7 +276,7 @@ int print_diff(const BenchFile& baseline, const BenchFile& current,
     os << "# new record   " << k << " (not in baseline; regenerate to adopt)\n";
   // Side-by-side medians for every matched record, with the speedup ratio
   // (>1 = current is faster).  Informational: the developer-loop view that
-  // bench_compare.sh and PR bodies quote; the gate below ignores it.
+  // bench_gate.sh prints and PR bodies quote; the gate below ignores it.
   if (!report.ms.empty()) {
     os << "# ms medians (baseline -> current; ratio >1 means faster)\n";
     for (const MsDelta& d : report.ms) {

@@ -2,13 +2,13 @@
 // variants (Sections 3.3 and 4.2; HIER-RB-LOAD wins and becomes "HIER-RB").
 #include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "hier/hier.hpp"
-#include "hier/hier_detail.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "oned/oracle.hpp"
+#include "prefix/stripe_projection.hpp"
 #include "util/parallel.hpp"
 
 namespace rectpart {
@@ -79,8 +79,9 @@ CutChoice best_cut_rows(const LoadSubstrate& ps, const Rect& r, int ml, int mr) 
   if (ml + mr >= kRbProjectionMinProcs) {
     // Safe as thread_local: the projection is consumed to completion before
     // this node recurses, and search_cut never re-enters the pool.
-    thread_local std::vector<std::int64_t> rp;
-    hier_detail::build_row_projection(ps, r, rp);
+    thread_local StripeProjection proj;
+    proj.assign_row_projection(ps, r);
+    const std::span<const std::int64_t> rp = proj.prefix();
     const std::int64_t total = rp.back();
     return search_cut([&](int k) { return rp[k - r.x0]; },
                       [&](int k) { return total - rp[k - r.x0]; }, r.x0, r.x1,
@@ -94,8 +95,9 @@ CutChoice best_cut_rows(const LoadSubstrate& ps, const Rect& r, int ml, int mr) 
 /// Best column cut; symmetric to best_cut_rows.
 CutChoice best_cut_cols(const LoadSubstrate& ps, const Rect& r, int ml, int mr) {
   if (ml + mr >= kRbProjectionMinProcs) {
-    thread_local std::vector<std::int64_t> cp;
-    hier_detail::build_col_projection(ps, r, cp);
+    thread_local StripeProjection proj;
+    proj.assign_col_projection(ps, r);
+    const std::span<const std::int64_t> cp = proj.prefix();
     const std::int64_t total = cp.back();
     return search_cut([&](int k) { return cp[k - r.y0]; },
                       [&](int k) { return total - cp[k - r.y0]; }, r.y0, r.y1,

@@ -12,13 +12,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "hier/hier.hpp"
-#include "hier/hier_detail.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "oned/oracle.hpp"
+#include "prefix/stripe_projection.hpp"
 #include "util/parallel.hpp"
 
 namespace rectpart {
@@ -75,6 +76,12 @@ void consider_dim(LeftFn left, RightFn right, int lo0, int hi0, int m, int j,
   }
 }
 
+/// Nodes below this processor count run too few cut-search evaluations to
+/// amortize the O(width) projection build; they keep the direct Γ queries.
+/// Values are identical on both paths, so the threshold cannot change any
+/// partition.
+constexpr int kProjectionMinProcs = 8;
+
 /// Below these sizes the spawn/reduction overhead dominates the node work;
 /// fall back to the sequential sweep/recursion.
 constexpr int kParallelSweepMinProcs = 64;
@@ -114,10 +121,12 @@ void relaxed_recurse(const LoadSubstrate& ps, const Rect& r, int m, int depth,
   // drop from 4-word Γ gathers to two adjacent loads.  Small nodes keep the
   // direct queries (identical values, so the threshold is purely a
   // performance knob).
-  const bool use_proj = m >= hier_detail::kProjectionMinProcs;
-  std::vector<std::int64_t> rp, cp;
-  if (use_proj && try_rows) hier_detail::build_row_projection(ps, r, rp);
-  if (use_proj && try_cols) hier_detail::build_col_projection(ps, r, cp);
+  const bool use_proj = m >= kProjectionMinProcs;
+  StripeProjection row_proj, col_proj;
+  if (use_proj && try_rows) row_proj.assign_row_projection(ps, r);
+  if (use_proj && try_cols) col_proj.assign_col_projection(ps, r);
+  const std::span<const std::int64_t> rp = row_proj.prefix();
+  const std::span<const std::int64_t> cp = col_proj.prefix();
 
   const auto eval_j = [&](int j, NodeChoice& best) {
     if (try_rows) {

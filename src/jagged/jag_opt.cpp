@@ -38,6 +38,7 @@
 #include "oned/oned.hpp"
 #include "rectilinear/rectilinear.hpp"
 #include "util/parallel.hpp"
+#include "util/simd.hpp"
 
 namespace rectpart {
 
@@ -174,30 +175,6 @@ std::vector<oned::Cuts> solve_stripes(const LoadSubstrate& ps,
   return col_cuts;
 }
 
-/// Oracle over two rows of the lazily built Γ ladder: the stripe [a, b)
-/// prefix is the pointwise difference of Γ rows b and a, so an interval load
-/// is four array reads — the same flat-probe shape StripeColsOracle has on
-/// the dense substrate.
-class GammaLadderOracle {
- public:
-  GammaLadderOracle(const std::int64_t* lo, const std::int64_t* hi, int cols)
-      : lo_(lo), hi_(hi), cols_(cols) {}
-
-  [[nodiscard]] int size() const { return cols_; }
-
-  [[nodiscard]] std::int64_t load(int i, int j) const {
-    if (i >= j) return 0;
-    return (hi_[j] - lo_[j]) - (hi_[i] - lo_[i]);
-  }
-
-  [[nodiscard]] static constexpr std::int64_t loads_per_query() { return 4; }
-
- private:
-  const std::int64_t* lo_;
-  const std::int64_t* hi_;
-  int cols_;
-};
-
 /// Largest (rows+1) x (cols+1) cell count the Γ ladder materializes:
 /// 2^23 cells is a 64 MiB ladder per concurrent search.  At the bench-gate
 /// scale (n=1024, nnz=32768, m=32) the parametric search issues ~360M
@@ -223,11 +200,12 @@ constexpr int kScatterCacheMaxCols = 1 << 16;
 /// are identical across thread widths:
 ///
 ///  * Γ ladder (cells <= kGammaLadderMaxCells): dense Γ rows materialized
-///    bottom-up on demand — row e is row e-1 plus one merged scan of CSR row
-///    e-1 — after which every probe is four array loads.
+///    bottom-up on demand — row e is row e-1 plus the scan of CSR row e-1's
+///    entries, scattered into an O(cols) scratch row — after which every
+///    probe is a StripeColsOracle over two ladder rows: four array loads.
 ///  * scatter cache (cols <= kScatterCacheMaxCols): the stripe's raw
 ///    per-column counts slide to [a, b) by signed row scatters
-///    (SparseLoadCSR::scatter_rows); one O(cols) scan per call.
+///    (SparseLoadCSR::scatter_rows); one O(cols) simd::scan_row per call.
 ///  * tiled-Γ oracle (wider): SparseStripeOracle per-probe interval queries
 ///    at fringe-bounded cost — the only mode whose footprint is
 ///    O(tile grid), which is what web-scale instances require.
@@ -247,7 +225,7 @@ class StripeProbeCache {
         (static_cast<std::int64_t>(n2) + 1);
     if (cells <= kGammaLadderMaxCells) {
       ensure_ladder(csr, b);
-      const GammaLadderOracle o(ladder_row(a), ladder_row(b), n2);
+      const StripeColsOracle o(ladder_row(a), ladder_row(b), n2);
       return oned::min_parts_within(o, 0, n2, B, cap);
     }
     if (n2 <= kScatterCacheMaxCols) {
@@ -264,46 +242,37 @@ class StripeProbeCache {
   }
 
   /// Extends the ladder so rows [0, e] are materialized.  Each Γ row is
-  /// built exactly once per search: next[j+1] = prev[j+1] + (sum of row
-  /// built_'s entries in columns <= j), a single merge over the
-  /// column-sorted CSR row.
+  /// built exactly once per search: CSR row built_ scatters into the zeroed
+  /// scratch row, next[j+1] = prev[j+1] + (scan of the scratch through j) is
+  /// one simd::scan_row, and the row's entries are cleared again.
   void ensure_ladder(const SparseLoadCSR& csr, int e) {
     const int n2 = csr.cols();
     if (csr_ != &csr) {
       csr_ = &csr;
       stride_ = static_cast<std::size_t>(n2) + 1;
       ladder_.assign(static_cast<std::size_t>(csr.rows() + 1) * stride_, 0);
+      scratch_.assign(static_cast<std::size_t>(n2), 0);
       built_ = 0;  // row 0 of Γ is identically zero
       RECTPART_COUNT(kProjectionsBuilt, 1);
     }
     const auto& rs = csr.row_start();
     const auto& ci = csr.col_index();
-    const auto& vp = csr.value_prefix();
-    std::int64_t rows_touched = 0;
     for (; built_ < e; ++built_) {
       const std::int64_t* prev = ladder_row(built_);
       std::int64_t* next = ladder_.data() +
                            (static_cast<std::size_t>(built_) + 1) * stride_;
-      std::int64_t k = rs[static_cast<std::size_t>(built_)];
+      const std::int64_t k0 = rs[static_cast<std::size_t>(built_)];
       const std::int64_t k1 = rs[static_cast<std::size_t>(built_) + 1];
-      if (k == k1) {
+      if (k0 == k1) {
         std::copy(prev, prev + stride_, next);
         continue;
       }
-      ++rows_touched;
-      std::int64_t running = 0;
-      next[0] = 0;
-      for (int j = 0; j < n2; ++j) {
-        while (k < k1 && ci[static_cast<std::size_t>(k)] == j) {
-          running += vp[static_cast<std::size_t>(k) + 1] -
-                     vp[static_cast<std::size_t>(k)];
-          ++k;
-        }
-        next[j + 1] = prev[j + 1] + running;
-      }
+      csr.scatter_rows(built_, built_ + 1, +1, scratch_);
+      simd::scan_row(scratch_.data(), prev + 1, next + 1,
+                     static_cast<std::size_t>(n2), 0, nullptr);
+      for (std::int64_t k = k0; k < k1; ++k)
+        scratch_[static_cast<std::size_t>(ci[static_cast<std::size_t>(k)])] = 0;
     }
-    RECTPART_COUNT(kSparseRowsTouched,
-                   static_cast<std::uint64_t>(rows_touched));
   }
 
   /// Slides the scatter cache to stripe [a, b) and rescans its prefix.
@@ -328,18 +297,18 @@ class StripeProbeCache {
     hi_ = b;
     p_.resize(static_cast<std::size_t>(n2) + 1);
     p_[0] = 0;
-    for (int j = 0; j < n2; ++j)
-      p_[static_cast<std::size_t>(j) + 1] =
-          p_[static_cast<std::size_t>(j)] +
-          counts_[static_cast<std::size_t>(j)];
+    simd::scan_row(counts_.data(), nullptr, p_.data() + 1,
+                   static_cast<std::size_t>(n2), 0, nullptr);
     return p_;
   }
 
   const SparseLoadCSR* csr_ = nullptr;
-  // Γ-ladder state: rows [0, built_] of Γ are valid, row stride stride_.
+  // Γ-ladder state: rows [0, built_] of Γ are valid, row stride stride_;
+  // scratch_ is the per-column scatter row, all zero between row builds.
   std::vector<std::int64_t> ladder_;
   std::size_t stride_ = 0;
   int built_ = 0;
+  std::vector<std::int64_t> scratch_;
   // Scatter-cache state: counts_ holds rows [lo_, hi_), p_ its last scan.
   std::vector<std::int64_t> counts_;
   std::vector<std::int64_t> p_;

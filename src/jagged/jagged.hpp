@@ -37,7 +37,12 @@ namespace rectpart {
 class StripeColsOracle {
  public:
   StripeColsOracle(const PrefixSum2D& ps, int a, int b)
-      : ra_(ps.row_ptr(a)), rb_(ps.row_ptr(b)), n2_(ps.cols()) {}
+      : StripeColsOracle(ps.row_ptr(a), ps.row_ptr(b), ps.cols()) {}
+
+  /// Over any two bordered Γ rows of n2+1 entries each — rows a and b of a
+  /// PrefixSum2D, or of the CSR probes' lazily built Γ ladder (jag_opt.cpp).
+  StripeColsOracle(const std::int64_t* ra, const std::int64_t* rb, int n2)
+      : ra_(ra), rb_(rb), n2_(n2) {}
 
   [[nodiscard]] int size() const { return n2_; }
   [[nodiscard]] std::int64_t load(int i, int j) const {

@@ -186,21 +186,9 @@ PrefixSum2D PrefixSum2D::transpose() const {
 }
 
 const PrefixSum2D& PrefixSum2D::transposed() const {
-  // Fast path: one acquire load once the transpose is installed.
-  if (const PrefixSum2D* ready = tcache_.ready.load(std::memory_order_acquire))
-    return *ready;
-  // Build *outside* the mutex: a second reader arriving during a slow first
-  // build races a duplicate (bit-identical, so harmless) build instead of
-  // blocking on the lock for the whole O(n1*n2) construction.  First install
-  // wins; the loser's copy is dropped.
-  auto built = std::make_shared<const PrefixSum2D>(transpose());
-  const std::lock_guard<std::mutex> lock(tcache_.mu);
-  if (!tcache_.value) {
-    tcache_.value = std::move(built);
-    tcache_.ready.store(tcache_.value.get(), std::memory_order_release);
+  return tcache_.get([this] { return transpose(); }, [](PrefixSum2D&) {
     RECTPART_COUNT(kDenseTransposeBuilds, 1);
-  }
-  return *tcache_.value;
+  });
 }
 
 std::vector<std::int64_t> PrefixSum2D::row_projection_prefix() const {

@@ -6,14 +6,12 @@
 // rectangle query a 4-term expression.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/matrix.hpp"
 #include "core/rect.hpp"
+#include "util/lazy_install.hpp"
 #include "util/simd.hpp"
 
 namespace rectpart {
@@ -124,17 +122,6 @@ class PrefixSum2D {
   [[nodiscard]] const PrefixSum2D& transposed() const;
 
  private:
-  /// Lazily-built transpose.  Copies deliberately start cold: the cache is
-  /// an amortization detail of one instance, not part of its value.
-  struct TransposeCache {
-    std::mutex mu;                                   ///< guards `value` install
-    std::shared_ptr<const PrefixSum2D> value;        ///< owns the transpose
-    std::atomic<const PrefixSum2D*> ready{nullptr};  ///< lock-free fast path
-    TransposeCache() = default;
-    TransposeCache(const TransposeCache&) {}
-    TransposeCache& operator=(const TransposeCache&) { return *this; }
-  };
-
   int n1_ = 0;
   int n2_ = 0;
   std::int64_t max_cell_ = 0;
@@ -142,7 +129,7 @@ class PrefixSum2D {
   // (and therefore NUMA-placed) inside the parallel block passes, by the
   // thread that owns the block — not by a serial zero-fill at allocation.
   FirstTouchVector ps_;
-  mutable TransposeCache tcache_;
+  mutable LazyInstall<PrefixSum2D> tcache_;  ///< transposed()'s Γᵀ
 };
 
 }  // namespace rectpart

@@ -9,6 +9,7 @@
 
 #include "obs/counters.hpp"
 #include "util/parallel.hpp"
+#include "util/simd.hpp"
 
 namespace rectpart {
 
@@ -210,22 +211,27 @@ SparseLoadCSR SparseLoadCSR::from_dense(const LoadMatrix& a) {
   return from_coo(a.rows(), a.cols(), std::move(entries));
 }
 
+// Inline: it is the per-row body of every plain CSR rectangle query, and out
+// of line it costs a call per row.
+inline std::int64_t SparseLoadCSR::row_window(
+    int x, int y0, int y1, std::int64_t& rows_touched) const {
+  const std::int64_t k0 = row_start_[static_cast<std::size_t>(x)];
+  const std::int64_t k1 = row_start_[static_cast<std::size_t>(x) + 1];
+  if (k0 == k1) return 0;
+  ++rows_touched;
+  const std::int32_t* base = col_.data();
+  const std::int32_t* lo =
+      std::lower_bound(base + k0, base + k1, static_cast<std::int32_t>(y0));
+  const std::int32_t* hi =
+      std::lower_bound(lo, base + k1, static_cast<std::int32_t>(y1));
+  return cum_[static_cast<std::size_t>(hi - base)] -
+         cum_[static_cast<std::size_t>(lo - base)];
+}
+
 std::int64_t SparseLoadCSR::walk_rows(int x0, int x1, int y0, int y1,
                                       std::int64_t& rows_touched) const {
   std::int64_t sum = 0;
-  for (int x = x0; x < x1; ++x) {
-    const std::int64_t k0 = row_start_[static_cast<std::size_t>(x)];
-    const std::int64_t k1 = row_start_[static_cast<std::size_t>(x) + 1];
-    if (k0 == k1) continue;
-    ++rows_touched;
-    const std::int32_t* base = col_.data();
-    const std::int32_t* lo =
-        std::lower_bound(base + k0, base + k1, static_cast<std::int32_t>(y0));
-    const std::int32_t* hi =
-        std::lower_bound(lo, base + k1, static_cast<std::int32_t>(y1));
-    sum += cum_[static_cast<std::size_t>(hi - base)] -
-           cum_[static_cast<std::size_t>(lo - base)];
-  }
+  for (int x = x0; x < x1; ++x) sum += row_window(x, y0, y1, rows_touched);
   return sum;
 }
 
@@ -300,28 +306,34 @@ void SparseLoadCSR::accumulate_row_stripe(
     int a, int b, std::vector<std::int64_t>& out) const {
   assert(0 <= a && a <= b && b <= n1_);
   out.assign(static_cast<std::size_t>(n2_) + 1, 0);
+  const std::span<std::int64_t> counts(out.data() + 1,
+                                       static_cast<std::size_t>(n2_));
+  scatter_rows(a, b, +1, counts);
+  simd::scan_row(counts.data(), nullptr, counts.data(), counts.size(), 0,
+                 nullptr);
+  RECTPART_COUNT(kProjectionsBuilt, 1);
+}
+
+void SparseLoadCSR::accumulate_rows(int x0, int x1, int y0, int y1,
+                                    std::vector<std::int64_t>& out) const {
+  assert(0 <= x0 && x0 <= x1 && x1 <= n1_ && 0 <= y0 && y0 <= y1 &&
+         y1 <= n2_);
+  const std::size_t n = static_cast<std::size_t>(x1 - x0);
+  out.resize(n + 1);
+  out[0] = 0;
   std::int64_t rows_touched = 0;
-  for (int x = a; x < b; ++x) {
-    const std::int64_t k0 = row_start_[static_cast<std::size_t>(x)];
-    const std::int64_t k1 = row_start_[static_cast<std::size_t>(x) + 1];
-    if (k0 == k1) continue;
-    ++rows_touched;
-    for (std::int64_t k = k0; k < k1; ++k)
-      out[static_cast<std::size_t>(col_[static_cast<std::size_t>(k)]) + 1] +=
-          cum_[static_cast<std::size_t>(k) + 1] -
-          cum_[static_cast<std::size_t>(k)];
-  }
-  for (int j = 0; j < n2_; ++j)
-    out[static_cast<std::size_t>(j) + 1] += out[static_cast<std::size_t>(j)];
+  for (std::size_t i = 0; i < n; ++i)
+    out[i + 1] = row_window(x0 + static_cast<int>(i), y0, y1, rows_touched);
+  simd::scan_row(out.data() + 1, nullptr, out.data() + 1, n, 0, nullptr);
   RECTPART_COUNT(kSparseRowsTouched,
                  static_cast<std::uint64_t>(rows_touched));
   RECTPART_COUNT(kProjectionsBuilt, 1);
 }
 
 void SparseLoadCSR::scatter_rows(int a, int b, std::int64_t sign,
-                                 std::vector<std::int64_t>& counts) const {
+                                 std::span<std::int64_t> counts) const {
   assert(0 <= a && a <= b && b <= n1_);
-  assert(static_cast<int>(counts.size()) == n2_);
+  assert(counts.size() == static_cast<std::size_t>(n2_));
   std::int64_t rows_touched = 0;
   for (int x = a; x < b; ++x) {
     const std::int64_t k0 = row_start_[static_cast<std::size_t>(x)];
@@ -370,7 +382,8 @@ SparseLoadCSR SparseLoadCSR::build_transpose() const {
             });
         }
       });
-  for (std::size_t k = 1; k <= nnz; ++k) t.cum_[k] += t.cum_[k - 1];
+  simd::scan_row(t.cum_.data() + 1, nullptr, t.cum_.data() + 1, nnz, 0,
+                 nullptr);
   // The mirror serves transposed-view queries of its own, so it carries its
   // own overlay (same budget formula, dimensions swapped).
   t.tiles_.build(t.n1_, t.n2_, t.row_start_, t.col_, t.cum_);
@@ -378,22 +391,14 @@ SparseLoadCSR SparseLoadCSR::build_transpose() const {
 }
 
 const SparseLoadCSR& SparseLoadCSR::transposed() const {
-  if (const SparseLoadCSR* t = mcache_.ready.load(std::memory_order_acquire))
-    return *t;
-  // Build outside the mutex (the PrefixSum2D::transposed() discipline): a
-  // caller racing a slow first build duplicates a bit-identical counting
-  // transpose instead of parking on the lock; the first install wins.
-  auto built = std::make_shared<SparseLoadCSR>(build_transpose());
-  std::lock_guard<std::mutex> lock(mcache_.mu);
-  if (!mcache_.value) {
-    // The mirror's own mirror is this object: install the back-pointer
-    // before publishing, so mirror.transposed() never rebuilds the parent.
-    built->mcache_.ready.store(this, std::memory_order_release);
-    mcache_.value = std::move(built);
-    mcache_.ready.store(mcache_.value.get(), std::memory_order_release);
-    RECTPART_COUNT(kCscMirrorBuilds, 1);
-  }
-  return *mcache_.value;
+  return mcache_.get([this] { return build_transpose(); },
+                     [this](SparseLoadCSR& mirror) {
+                       // The mirror's own mirror is this object: point it
+                       // back before publishing, so mirror.transposed()
+                       // never rebuilds the parent.
+                       mirror.mcache_.point_at(this);
+                       RECTPART_COUNT(kCscMirrorBuilds, 1);
+                     });
 }
 
 LoadMatrix SparseLoadCSR::to_dense() const {

@@ -18,8 +18,8 @@
 //     boundary columns walk entries, O(T · log) independent of the height.
 // Column-side queries go through a lazily built CSC mirror: the transpose of
 // the matrix stored as another SparseLoadCSR, cached exactly like
-// PrefixSum2D::transposed() (build outside the mutex, first install wins,
-// lock-free acquire fast path, copies start cold).  The mirror doubles as
+// PrefixSum2D::transposed() (util/lazy_install.hpp: build outside the mutex,
+// first install wins, lock-free acquire fast path, copies start cold).  The mirror doubles as
 // the tiled path's boundary-column walker, so the first tiled query on an
 // instance materializes it.
 //
@@ -29,16 +29,15 @@
 // logical matrix — the property the cross-substrate golden-hash tests pin.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <span>
 #include <vector>
 
 #include "core/matrix.hpp"
 #include "core/rect.hpp"
 #include "prefix/sparse_tiles.hpp"
+#include "util/lazy_install.hpp"
 
 namespace rectpart {
 
@@ -154,12 +153,22 @@ class SparseLoadCSR {
 
   /// Accumulates the row stripe [a, b) into a flat column-prefix vector:
   /// out[j] == load(a, b, 0, j), size cols()+1 with out[0] == 0 — the exact
-  /// shape StripeProjection::prefix() has on the dense path.  Touches only
-  /// the nonzero rows of the stripe (counted into sparse_rows_touched); the
-  /// scatter + inclusive scan re-associates the same int64 entry sums the
-  /// dense Γ-row difference computes, so the resulting oracle values are
-  /// bit-identical.
+  /// shape StripeProjection::prefix() has on the dense path.  A zero fill,
+  /// scatter_rows into out[1..], and an in-place simd::scan_row: it touches
+  /// only the nonzero rows of the stripe (counted into sparse_rows_touched;
+  /// the call counts one projections_built) and re-associates the same int64 entry sums the dense Γ-row difference
+  /// computes, so the resulting oracle values are bit-identical.
   void accumulate_row_stripe(int a, int b, std::vector<std::int64_t>& out) const;
+
+  /// Accumulates rows [x0, x1), each restricted to columns [y0, y1), into a
+  /// flat row-prefix vector: out[i] == load(x0, x0 + i, y0, y1), size
+  /// x1-x0+1 with out[0] == 0.  Each nonzero row contributes one
+  /// binary-searched column sub-range off the running value prefix (the
+  /// per-row body of load()'s plain walk); a simd::scan_row turns the
+  /// per-row loads into the prefix.  Counts the nonzero rows visited into
+  /// sparse_rows_touched and the call into projections_built.
+  void accumulate_rows(int x0, int x1, int y0, int y1,
+                       std::vector<std::int64_t>& out) const;
 
   /// Signed scatter of the row range [a, b) into per-column entry counts:
   /// counts[j] += sign * value(i, j) for every stored entry, counts size
@@ -170,7 +179,7 @@ class SparseLoadCSR {
   /// of repositions yields bit-identical prefixes.  Touched nonzero rows are
   /// counted into sparse_rows_touched.
   void scatter_rows(int a, int b, std::int64_t sign,
-                    std::vector<std::int64_t>& counts) const;
+                    std::span<std::int64_t> counts) const;
 
   /// CSC mirror: this matrix transposed, stored as another SparseLoadCSR.
   /// Built on first call by the same stable counting scatter as from_coo
@@ -201,23 +210,15 @@ class SparseLoadCSR {
   }
 
  private:
-  /// Lazily-built CSC mirror, the TransposeCache idiom from
-  /// prefix/prefix_sum.hpp: acquire fast path, build outside the mutex,
-  /// first install wins, copies start cold.  `ready` may also point at the
-  /// *parent* substrate (installed by the parent's build) so that
-  /// mirror.transposed() is free.
-  struct MirrorCache {
-    std::mutex mu;
-    std::shared_ptr<const SparseLoadCSR> value;
-    std::atomic<const SparseLoadCSR*> ready{nullptr};
-    MirrorCache() = default;
-    MirrorCache(const MirrorCache&) {}
-    MirrorCache& operator=(const MirrorCache&) { return *this; }
-  };
-
   /// The transpose as a plain value (counting transpose over the CSR
   /// arrays); the caching and counting live in transposed().
   [[nodiscard]] SparseLoadCSR build_transpose() const;
+
+  /// Load of row x's entries in columns [y0, y1): two binary searches over
+  /// the row's column-sorted entries bracket a range of the running prefix.
+  /// Ticks `rows_touched` when the row holds any entry.
+  [[nodiscard]] std::int64_t row_window(int x, int y0, int y1,
+                                        std::int64_t& rows_touched) const;
 
   /// Per-row binary-search walk over rows [x0, x1) × columns [y0, y1),
   /// accumulating the nonzero rows visited into `rows_touched` (the caller
@@ -238,7 +239,9 @@ class SparseLoadCSR {
   /// cum_[0] == 0, entry k's value is cum_[k+1] - cum_[k].
   std::vector<std::int64_t> cum_;
   SparseTileIndex tiles_;
-  mutable MirrorCache mcache_;
+  /// transposed()'s CSC mirror.  On a mirror it points back at the parent
+  /// (installed by the parent's build), so mirror.transposed() is free.
+  mutable LazyInstall<SparseLoadCSR> mcache_;
 };
 
 }  // namespace rectpart

@@ -12,11 +12,9 @@ namespace rectpart {
 void StripeProjection::assign(const LoadSubstrate& substrate,
                               const Stripe& stripe) {
   if (substrate.is_dense()) {
-    // A swapped view's row stripe is a column stripe of the Γ it wraps.
-    if ((stripe.axis == Stripe::Axis::kRows) != substrate.swapped())
-      assign_rows_dense(substrate.dense(), stripe.lo, stripe.hi);
-    else
-      assign_cols_dense(substrate.dense(), stripe.lo, stripe.hi);
+    assign_dense(substrate, stripe, 0,
+                 stripe.axis == Stripe::Axis::kRows ? substrate.cols()
+                                                    : substrate.rows());
     return;
   }
   // CSR path: scatter the stripe's nonzeros and scan.  Column stripes
@@ -40,25 +38,54 @@ void StripeProjection::assign(const LoadSubstrate& substrate,
   if (memo != nullptr) memo->store(key, p_);
 }
 
-void StripeProjection::assign_rows_dense(const PrefixSum2D& ps, int a, int b) {
-  assert(0 <= a && a <= b && b <= ps.rows());
-  const int n2 = ps.cols();
-  p_.resize(static_cast<std::size_t>(n2) + 1);
-  const std::int64_t* ra = ps.row_ptr(a);
-  const std::int64_t* rb = ps.row_ptr(b);
-  // Γ(x, 0) == 0 for every x, so p_[0] == 0 as PrefixOracle requires.  The
-  // difference of the two Γ rows is a flat element-wise subtract — the SIMD
-  // data plane's bread and butter.
-  simd::sub_rows(p_.data(), rb, ra, static_cast<std::size_t>(n2) + 1);
+void StripeProjection::assign_window(const LoadSubstrate& substrate,
+                                     const Stripe& stripe, int from, int to) {
+  if (substrate.is_dense()) {
+    assign_dense(substrate, stripe, from, to);
+    return;
+  }
+  // CSR path: walk the window's rows, each restricted to the stripe.  A
+  // column stripe's window runs over the matrix's rows; a row stripe's over
+  // its columns, i.e. the rows of the CSC mirror.  accumulate_rows counts
+  // sparse_rows_touched and projections_built.
+  const SparseLoadCSR& csr = stripe.axis == Stripe::Axis::kCols
+                                 ? *substrate.sparse()
+                                 : substrate.sparse()->transposed();
+  csr.accumulate_rows(from, to, stripe.lo, stripe.hi, p_);
+}
+
+void StripeProjection::assign_dense(const LoadSubstrate& substrate,
+                                    const Stripe& stripe, int from, int to) {
+  // A swapped view's row stripe is a column stripe of the Γ it wraps.
+  if ((stripe.axis == Stripe::Axis::kRows) != substrate.swapped())
+    rows_dense(substrate.dense(), stripe.lo, stripe.hi, from, to);
+  else
+    cols_dense(substrate.dense(), stripe.lo, stripe.hi, from, to);
+  // Γ(x, 0) == Γ(0, y) == 0, so a window starting at the border is already
+  // based at 0; an interior window subtracts its first entry.
+  if (const std::int64_t base = p_[0]; base != 0)
+    for (std::int64_t& v : p_) v -= base;
   RECTPART_COUNT(kProjectionsBuilt, 1);
 }
 
-void StripeProjection::assign_cols_dense(const PrefixSum2D& ps, int c, int d) {
+void StripeProjection::rows_dense(const PrefixSum2D& ps, int a, int b,
+                                  int from, int to) {
+  assert(0 <= a && a <= b && b <= ps.rows());
+  assert(0 <= from && from <= to && to <= ps.cols());
+  const std::size_t n = static_cast<std::size_t>(to - from) + 1;
+  p_.resize(n);
+  // The difference of the two Γ rows is a flat element-wise subtract — the
+  // SIMD data plane's bread and butter.
+  simd::sub_rows(p_.data(), ps.row_ptr(b) + from, ps.row_ptr(a) + from, n);
+}
+
+void StripeProjection::cols_dense(const PrefixSum2D& ps, int c, int d,
+                                  int from, int to) {
   assert(0 <= c && c <= d && d <= ps.cols());
-  const int n1 = ps.rows();
-  p_.resize(static_cast<std::size_t>(n1) + 1);
-  for (int i = 0; i <= n1; ++i) p_[i] = ps.at(i, d) - ps.at(i, c);
-  RECTPART_COUNT(kProjectionsBuilt, 1);
+  assert(0 <= from && from <= to && to <= ps.rows());
+  p_.resize(static_cast<std::size_t>(to - from) + 1);
+  for (int i = from; i <= to; ++i)
+    p_[static_cast<std::size_t>(i - from)] = ps.at(i, d) - ps.at(i, c);
 }
 
 std::vector<StripeProjection> row_stripe_projections(

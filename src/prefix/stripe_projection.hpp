@@ -13,27 +13,34 @@
 // the dense Γ array it is a single O(n) difference of two Γ rows (or of two
 // Γ columns, one entry pair gathered per row, for a column stripe — which
 // is what a row stripe of an axis-swapped view is); on the CSR substrate it
-// is a scatter of the stripe's nonzeros followed by an inclusive scan,
+// is a scatter of the stripe's nonzeros followed by a simd::scan_row,
 // touching only the nonzero rows.  Both compute the same
 // int64 entry sums, just re-associated; int64 arithmetic is exact, so oracle
 // values (and therefore every cut decision downstream) are bit-identical
 // across substrates and to the raw Γ-query path.  Builders touch no shared
 // state, so batch construction runs under parallel_for and is bit-identical
 // at any thread width.
+//
+// The same buffer also holds the windowed projections of one rectangle that
+// the hierarchical cut searches (hier_rb.cpp, hier_relaxed.cpp) evaluate
+// many times per node: the dense kernels above restricted to the window and
+// rebased so prefix()[0] == 0, and on the CSR substrate a per-row
+// binary-searched walk of the rectangle's rows
+// (SparseLoadCSR::accumulate_rows).  This file is the one place a flat
+// prefix is built; the engines never branch on the substrate for it.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/rect.hpp"
 #include "oned/oracle.hpp"
 #include "prefix/load_substrate.hpp"
 
 namespace rectpart {
 
 /// One stripe of the instance: a half-open interval of rows or of columns.
-/// The value-type half of the StripeProjection::build_for seam — engines
-/// name the stripe, the projection picks the substrate-appropriate builder.
 struct Stripe {
   enum class Axis { kRows, kCols };
   Axis axis = Axis::kRows;
@@ -61,15 +68,6 @@ class StripeProjection {
   /// (size rows()+1).  This is the one overload a future substrate extends.
   void assign(const LoadSubstrate& substrate, const Stripe& stripe);
 
-  /// One-shot factory over assign(): the named construction path for code
-  /// that does not pool buffers.
-  [[nodiscard]] static StripeProjection build_for(
-      const LoadSubstrate& substrate, const Stripe& stripe) {
-    StripeProjection p;
-    p.assign(substrate, stripe);
-    return p;
-  }
-
   /// Convenience spellings of assign() for the row/column stripe shapes the
   /// engines build in loops.
   void assign_rows(const LoadSubstrate& substrate, int a, int b) {
@@ -77,6 +75,19 @@ class StripeProjection {
   }
   void assign_cols(const LoadSubstrate& substrate, int c, int d) {
     assign(substrate, Stripe::cols(c, d));
+  }
+
+  /// The rect-window overloads: the two projections of rectangle r the
+  /// hierarchical cut searches run on.  Onto its rows: prefix()[k - r.x0] ==
+  /// load(r.x0, k, r.y0, r.y1) for k in [r.x0, r.x1], so a row cut at k
+  /// leaves prefix()[k - r.x0] above it and prefix().back() -
+  /// prefix()[k - r.x0] below.  Onto its columns: prefix()[k - r.y0] ==
+  /// load(r.x0, r.x1, r.y0, k) for k in [r.y0, r.y1].
+  void assign_row_projection(const LoadSubstrate& substrate, const Rect& r) {
+    assign_window(substrate, Stripe::cols(r.y0, r.y1), r.x0, r.x1);
+  }
+  void assign_col_projection(const LoadSubstrate& substrate, const Rect& r) {
+    assign_window(substrate, Stripe::rows(r.x0, r.x1), r.y0, r.y1);
   }
 
   [[nodiscard]] std::span<const std::int64_t> prefix() const { return p_; }
@@ -87,11 +98,23 @@ class StripeProjection {
   }
 
  private:
-  // The raw dense builders — the difference-of-two-Γ-rows kernels.  Private
-  // details of the dense substrate dispatch; everything outside goes through
-  // assign()/build_for().
-  void assign_rows_dense(const PrefixSum2D& ps, int a, int b);
-  void assign_cols_dense(const PrefixSum2D& ps, int c, int d);
+  /// The prefix of `stripe` restricted to the window [from, to] of its
+  /// prefix axis and rebased so prefix()[0] == 0: for a row stripe [a, b),
+  /// prefix()[j - from] == load(a, b, from, j); for a column stripe [c, d),
+  /// prefix()[i - from] == load(from, i, c, d).  The dense path runs the
+  /// same Γ-row / Γ-column kernels as assign(); the CSR path walks the
+  /// window's rows (SparseLoadCSR::accumulate_rows, a row stripe's window
+  /// through the CSC mirror) and never consults the projection memo.
+  void assign_window(const LoadSubstrate& substrate, const Stripe& stripe,
+                     int from, int to);
+
+  // The raw dense builders over the window [from, to] — the difference of
+  // two Γ rows (rows_dense) or of two Γ columns (cols_dense), rebased so
+  // p_[0] == 0.  Private details of the dense substrate dispatch.
+  void assign_dense(const LoadSubstrate& substrate, const Stripe& stripe,
+                    int from, int to);
+  void rows_dense(const PrefixSum2D& ps, int a, int b, int from, int to);
+  void cols_dense(const PrefixSum2D& ps, int c, int d, int from, int to);
 
   std::vector<std::int64_t> p_;
 };

@@ -125,6 +125,11 @@ bool parse_request_header(const std::string& line, RequestHeader* out,
                   "solve request requires m >= 1, got " + std::to_string(h.m));
     if (h.deadline_ms.has_value() && *h.deadline_ms < 0)
       return fail(error, "solve request has negative deadline_ms");
+    if (h.deadline_ms.has_value() && *h.deadline_ms > kMaxDeadlineMs)
+      return fail(error, "solve request has deadline_ms=" +
+                             std::to_string(*h.deadline_ms) +
+                             " beyond the limit of " +
+                             std::to_string(kMaxDeadlineMs) + " (one year)");
     if (h.algo.empty())
       return fail(error, "solve request has an empty 'algo'");
     if (h.format != "dense" && h.format != "coo")

@@ -22,7 +22,8 @@
 // Request fields:  op ("solve" | "ping" | "counters" | "metrics" |
 //                  "shutdown"),
 //                  id (int, echoed back), and for solve: algo (registry
-//                  name), m, rows, cols, deadline_ms (optional), upgrade
+//                  name), m, rows, cols, deadline_ms (optional, at most
+//                  kMaxDeadlineMs), upgrade
 //                  (bool), lineage (optional string naming a drifting
 //                  workload; see service/server.hpp).
 // Response fields: id, status ("ok" | "error"), message (errors only),
@@ -46,6 +47,12 @@ namespace rectpart::service {
 /// Upper bound on one header line; a peer streaming an unterminated header
 /// is cut off here instead of growing the read buffer without bound.
 inline constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
+
+/// Largest solve deadline_ms accepted: one year.  The daemon turns the
+/// deadline into a steady-clock time point in nanoseconds, which overflows
+/// int64 near 9.2e12 ms; anything this long is no deadline at all.
+inline constexpr std::int64_t kMaxDeadlineMs =
+    std::int64_t{365} * 24 * 60 * 60 * 1000;
 
 enum class Op { kSolve, kPing, kCounters, kMetrics, kShutdown };
 

@@ -52,6 +52,21 @@ bool socket_is_live(const std::string& path) {
   return live;
 }
 
+/// The record of a solve request as far as its header tells.  The cell
+/// extent saturates: the header is untrusted and the size gate has not run
+/// yet, so rows * cols may exceed int64.
+RequestRecord record_of(const RequestHeader& h) {
+  RequestRecord rec;
+  rec.id = h.id;
+  rec.algo = h.algo;
+  rec.rows = h.rows;
+  rec.cols = h.cols;
+  rec.nnz = h.format == "coo" ? h.nnz : 0;
+  if (__builtin_mul_overflow(h.rows, h.cols, &rec.cells))
+    rec.cells = std::numeric_limits<std::int64_t>::max();
+  return rec;
+}
+
 }  // namespace
 
 std::string RequestRecord::to_json() const {
@@ -424,19 +439,13 @@ bool Server::handle_solve(const std::shared_ptr<Connection>& conn,
     Server* srv;
     RequestRecord rec;
     const char* verdict = "none";
-    explicit RecordGuard(Server* s) : srv(s) {}
+    RecordGuard(Server* s, RequestRecord r) : srv(s), rec(std::move(r)) {}
     ~RecordGuard() {
       if (std::uncaught_exceptions() > 0) rec.error = "internal daemon error";
       srv->finish_record(rec, verdict);
     }
-  } guard(this);
+  } guard(this, record_of(h));
   RequestRecord& rec = guard.rec;
-  rec.id = h.id;
-  rec.algo = h.algo;
-  rec.rows = h.rows;
-  rec.cols = h.cols;
-  rec.nnz = is_coo ? h.nnz : 0;
-  rec.cells = h.rows * h.cols;
   rec.status = "error";
   rec.error = "connection lost mid-request";
 
@@ -581,15 +590,7 @@ bool Server::handle_solve(const std::shared_ptr<Connection>& conn,
       send_error(conn, h.id, rec.error);
       return true;
     }
-    r.ms = ms_since(t0);
-    r.lmax = r.partition.max_load(ls);
-    r.imbalance = imbalance_of(r.lmax, ls.total(), r.partition.m());
-    send_response(conn, r);
-    rec.status = "ok";
-    rec.error.clear();
-    rec.ms = r.ms;
-    rec.lmax = r.lmax;
-    rec.imbalance = r.imbalance;
+    send_solution(conn, r, ls, t0, rec);
     return true;
   }
 
@@ -625,15 +626,7 @@ bool Server::handle_solve(const std::shared_ptr<Connection>& conn,
     send_error(conn, h.id, rec.error);
     return true;
   }
-  r.ms = ms_since(t0);
-  r.lmax = r.partition.max_load(ls);
-  r.imbalance = imbalance_of(r.lmax, ls.total(), r.partition.m());
-  send_response(conn, r);
-  rec.status = "ok";
-  rec.error.clear();
-  rec.ms = r.ms;
-  rec.lmax = r.lmax;
-  rec.imbalance = r.imbalance;
+  send_solution(conn, r, ls, t0, rec);
 
   if (upgrade_async) {
     // The follow-up keeps the connection and the cached instance alive via
@@ -645,15 +638,9 @@ bool Server::handle_solve(const std::shared_ptr<Connection>& conn,
         f.id = h.id;
         f.algo = h.algo;
         f.m = h.m;
-        RequestRecord urec;
-        urec.id = h.id;
+        RequestRecord urec = record_of(h);
         urec.op = "upgrade";
-        urec.algo = h.algo;
         urec.fingerprint = fingerprint;
-        urec.rows = h.rows;
-        urec.cols = h.cols;
-        urec.nnz = h.format == "coo" ? h.nnz : 0;
-        urec.cells = h.rows * h.cols;
         urec.cache_hit = true;  // upgrades always reuse the held instance
         const LoadSubstrate uls = inst->view();
         try {
@@ -666,13 +653,7 @@ bool Server::handle_solve(const std::shared_ptr<Connection>& conn,
           finish_record(urec, "upgrade");
           return;
         }
-        f.ms = ms_since(u0);
-        f.lmax = f.partition.max_load(uls);
-        f.imbalance = imbalance_of(f.lmax, uls.total(), f.partition.m());
-        send_response(conn, f);
-        urec.ms = f.ms;
-        urec.lmax = f.lmax;
-        urec.imbalance = f.imbalance;
+        send_solution(conn, f, uls, u0, urec);
         finish_record(urec, "upgrade");
       });
     } catch (const std::runtime_error&) {
@@ -688,6 +669,21 @@ void Server::send_response(const std::shared_ptr<Connection>& conn,
   std::lock_guard<std::mutex> lock(conn->write_mu);
   // A failed write means the peer is gone; the read side will see EOF.
   (void)write_all(conn->fd, line.data(), line.size());
+}
+
+void Server::send_solution(const std::shared_ptr<Connection>& conn,
+                           Response& r, const LoadSubstrate& ls,
+                           std::chrono::steady_clock::time_point t0,
+                           RequestRecord& rec) {
+  r.ms = ms_since(t0);
+  r.lmax = r.partition.max_load(ls);
+  r.imbalance = imbalance_of(r.lmax, ls.total(), r.partition.m());
+  send_response(conn, r);
+  rec.status = "ok";
+  rec.error.clear();
+  rec.ms = r.ms;
+  rec.lmax = r.lmax;
+  rec.imbalance = r.imbalance;
 }
 
 void Server::send_error(const std::shared_ptr<Connection>& conn,

@@ -192,6 +192,14 @@ class Server {
                      const Response& r);
   void send_error(const std::shared_ptr<Connection>& conn, std::int64_t id,
                   const std::string& message);
+  /// The one reply path of a solved request (plain, lineage, SLO, and the
+  /// pushed upgrade): stamps r with the wall time since t0 and the
+  /// partition's bottleneck and imbalance on `ls`, sends it, and marks
+  /// `rec` ok with the same figures.
+  void send_solution(const std::shared_ptr<Connection>& conn, Response& r,
+                     const LoadSubstrate& ls,
+                     std::chrono::steady_clock::time_point t0,
+                     RequestRecord& rec);
 
   /// Routes a finished request record to every sink: the flight ring, the
   /// access log (if open), the per-(engine, cache, deadline) latency

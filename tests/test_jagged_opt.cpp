@@ -14,6 +14,7 @@
 #include "jagged/stripe_opt_cache.hpp"
 #include "obs/counters.hpp"
 #include "picmag/picmag.hpp"
+#include "prefix/sparse_load.hpp"
 #include "testing_util.hpp"
 #include "util/parallel.hpp"
 #include "workloads/synthetic.hpp"
@@ -151,6 +152,34 @@ TEST(JagOpt, BestPicksHorOnTiesAndTheVerPartitionOtherwise) {
   // The cases must exercise both branches of the rule.
   EXPECT_GT(ties, 0);
   EXPECT_GT(ver_wins, 0);
+}
+
+// The CSR probe tiers past the Γ ladder.  StripeProbeCache (jag_opt.cpp)
+// picks its mode from the shape alone: (rows+1)(cols+1) <= 2^23 builds the
+// Γ ladder, which every small CSR instance elsewhere in the suite takes;
+// wider instances with cols <= 2^16 slide the incremental scatter cache,
+// and wider still probe SparseStripeOracle per query.  A 127-row instance
+// crosses the ladder envelope at 65536 columns (128 x 65537 = 8,388,736 >
+// 2^23 = 8,388,608), so 65536 and 65537 columns pin the scatter tier and
+// the per-probe tier.  Both exact engines must return the dense twin's
+// partition rectangle for rectangle.
+void expect_csr_tier_matches_dense_twin(int cols) {
+  const int rows = 127;
+  CooInstance coo = gen_powerlaw_coo(rows, cols, 4096, /*seed=*/7);
+  const SparseLoadCSR csr =
+      SparseLoadCSR::from_coo(rows, cols, std::move(coo.entries));
+  const PrefixSum2D dense(csr.to_dense());
+  const int m = 16;
+  EXPECT_EQ(jag_pq_opt(csr, m, hor()).rects, jag_pq_opt(dense, m, hor()).rects);
+  EXPECT_EQ(jag_m_opt(csr, m, hor()).rects, jag_m_opt(dense, m, hor()).rects);
+}
+
+TEST(JagOptCsrTiers, ScatterCacheTierMatchesTheDenseTwin) {
+  expect_csr_tier_matches_dense_twin(1 << 16);
+}
+
+TEST(JagOptCsrTiers, PerProbeOracleTierMatchesTheDenseTwin) {
+  expect_csr_tier_matches_dense_twin((1 << 16) + 1);
 }
 
 TEST(JagMOpt, ValidAndDominatesEverythingJagged) {

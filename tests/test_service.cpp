@@ -192,6 +192,16 @@ TEST(Protocol, HeaderRejectsInvalidSolveParameters) {
       "{\"op\":\"solve\",\"rows\":4,\"cols\":4,\"deadline_ms\":-5}", &h,
       &error));
   EXPECT_NE(error.find("negative deadline_ms"), std::string::npos);
+  EXPECT_FALSE(parse_request_header(
+      "{\"op\":\"solve\",\"rows\":4,\"cols\":4,\"deadline_ms\":" +
+          std::to_string(kMaxDeadlineMs + 1) + "}",
+      &h, &error));
+  EXPECT_NE(error.find("deadline_ms"), std::string::npos);
+  EXPECT_TRUE(parse_request_header(
+      "{\"op\":\"solve\",\"rows\":4,\"cols\":4,\"deadline_ms\":" +
+          std::to_string(kMaxDeadlineMs) + "}",
+      &h, &error))
+      << error;
   // Present-but-wrong-type is an error, never a silent default.
   EXPECT_FALSE(parse_request_header(
       "{\"op\":\"solve\",\"rows\":4,\"cols\":4,\"m\":\"8\"}", &h, &error));
@@ -709,6 +719,56 @@ TEST_F(ServiceTest, MalformedHeaderGetsAnErrorThenTheConnectionCloses) {
   EXPECT_NE(r.error.find("malformed request header"), std::string::npos);
   // Framing is lost after a bad header, so the daemon hangs up: EOF.
   EXPECT_FALSE(read_line(fd, &carry, &line));
+  close(fd);
+}
+
+TEST_F(ServiceTest, CellExtentOverflowingInt64IsRefusedBeforeThePayload) {
+  // rows * cols = 2^66: the size gate must refuse it without ever forming
+  // the product in int64 (the access-log record saturates its cell count).
+  const int fd = raw_connect();
+  RequestHeader h;
+  h.op = Op::kSolve;
+  h.rows = std::int64_t{1} << 33;
+  h.cols = std::int64_t{1} << 33;
+  h.m = 2;
+  const std::string line = serialize_request_header(h) + "\n";
+  ASSERT_TRUE(write_all(fd, line.data(), line.size()));
+  std::string carry, reply;
+  ASSERT_TRUE(read_line(fd, &carry, &reply));
+  Response r;
+  std::string error;
+  ASSERT_TRUE(parse_response(reply, &r, &error)) << error;
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("max_cells"), std::string::npos) << r.error;
+  EXPECT_FALSE(read_line(fd, &carry, &reply));  // connection closed
+  close(fd);
+}
+
+TEST_F(ServiceTest, DeadlineBeyondTheClockRangeIsAHeaderError) {
+  // 10^13 ms is past what a nanosecond steady-clock duration holds; the
+  // header must be refused, naming the field, before any clock arithmetic.
+  // The payload rides in the same write, so a daemon that accepted the
+  // header would go on to solve instead of hanging the test.
+  const int fd = raw_connect();
+  RequestHeader h;
+  h.op = Op::kSolve;
+  h.rows = 4;
+  h.cols = 4;
+  h.m = 2;
+  h.deadline_ms = 10'000'000'000'000;
+  std::string wire = serialize_request_header(h) + "\n";
+  const std::vector<std::int64_t> cells(16, 1);
+  wire.append(reinterpret_cast<const char*>(cells.data()),
+              cells.size() * sizeof(std::int64_t));
+  ASSERT_TRUE(write_all(fd, wire.data(), wire.size()));
+  std::string carry, reply;
+  ASSERT_TRUE(read_line(fd, &carry, &reply));
+  Response r;
+  std::string error;
+  ASSERT_TRUE(parse_response(reply, &r, &error)) << error;
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("deadline_ms"), std::string::npos) << r.error;
+  EXPECT_FALSE(read_line(fd, &carry, &reply));  // bad header: closed
   close(fd);
 }
 

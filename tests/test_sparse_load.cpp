@@ -316,20 +316,19 @@ TEST(SparseCsr, StripeProjectionsMatchDenseInBothOrientations) {
   const SparseLoadCSR csr = SparseLoadCSR::from_dense(a);
   const LoadSubstrate dense_view(ps);
   const LoadSubstrate sparse_view(csr);
+  StripeProjection d, s;
   for (int lo = 0; lo <= a.rows(); ++lo)
     for (int hi = lo; hi <= a.rows(); ++hi) {
-      const auto d = StripeProjection::build_for(dense_view, Stripe::rows(lo, hi));
-      const auto s = StripeProjection::build_for(sparse_view, Stripe::rows(lo, hi));
-      ASSERT_TRUE(std::equal(d.prefix().begin(), d.prefix().end(),
-                             s.prefix().begin(), s.prefix().end()))
+      d.assign_rows(dense_view, lo, hi);
+      s.assign_rows(sparse_view, lo, hi);
+      ASSERT_TRUE(std::ranges::equal(d.prefix(), s.prefix()))
           << "row stripe [" << lo << ", " << hi << ")";
     }
   for (int lo = 0; lo <= a.cols(); ++lo)
     for (int hi = lo; hi <= a.cols(); ++hi) {
-      const auto d = StripeProjection::build_for(dense_view, Stripe::cols(lo, hi));
-      const auto s = StripeProjection::build_for(sparse_view, Stripe::cols(lo, hi));
-      ASSERT_TRUE(std::equal(d.prefix().begin(), d.prefix().end(),
-                             s.prefix().begin(), s.prefix().end()))
+      d.assign_cols(dense_view, lo, hi);
+      s.assign_cols(sparse_view, lo, hi);
+      ASSERT_TRUE(std::ranges::equal(d.prefix(), s.prefix()))
           << "col stripe [" << lo << ", " << hi << ")";
     }
 }

@@ -12,10 +12,10 @@
 #include <utility>
 #include <vector>
 
-#include "hier/hier_detail.hpp"
 #include "jagged/jag_detail.hpp"
 #include "jagged/jagged.hpp"
 #include "oned/oned.hpp"
+#include "prefix/sparse_load.hpp"
 #include "rectilinear/rectilinear.hpp"
 #include "testing_util.hpp"
 #include "util/parallel.hpp"
@@ -160,26 +160,37 @@ TEST(StripeMaxFlat, SolvesMatchGammaOracleSolves) {
 // Hier per-rectangle projections.
 
 TEST(HierProjection, RowAndColProjectionsMatchGammaLoads) {
-  const PrefixSum2D ps = make_ps(15);
+  // The rect-window projections on both substrates: the dense Γ kernels and
+  // the CSR row walk (column windows through the CSC mirror) must both equal
+  // the direct Γ loads, rebased to 0 at the window's first entry.
+  const LoadMatrix a = testing::random_matrix(kN1, kN2, 0, 50, 15);
+  const PrefixSum2D ps(a);
+  const SparseLoadCSR csr = SparseLoadCSR::from_dense(a);
   const Rect rects[] = {{0, kN1, 0, kN2},  // root
                         {3, 17, 2, 20},    // interior
                         {5, 6, 4, 5},      // single cell
-                        {8, 8, 3, 9}};     // empty (x0 == x1)
-  std::vector<std::int64_t> rp, cp;
-  for (const Rect& r : rects) {
-    hier_detail::build_row_projection(ps, r, rp);
-    ASSERT_EQ(rp.size(), static_cast<std::size_t>(r.x1 - r.x0) + 1);
-    for (int k = r.x0; k <= r.x1; ++k) {
-      ASSERT_EQ(rp[k - r.x0], ps.load(r.x0, k, r.y0, r.y1)) << "left@" << k;
-      ASSERT_EQ(rp.back() - rp[k - r.x0], ps.load(k, r.x1, r.y0, r.y1))
-          << "right@" << k;
-    }
-    hier_detail::build_col_projection(ps, r, cp);
-    ASSERT_EQ(cp.size(), static_cast<std::size_t>(r.y1 - r.y0) + 1);
-    for (int k = r.y0; k <= r.y1; ++k) {
-      ASSERT_EQ(cp[k - r.y0], ps.load(r.x0, r.x1, r.y0, k)) << "left@" << k;
-      ASSERT_EQ(cp.back() - cp[k - r.y0], ps.load(r.x0, r.x1, k, r.y1))
-          << "right@" << k;
+                        {8, 8, 3, 9},      // empty (x0 == x1)
+                        {4, 30, 7, 7}};    // empty (y0 == y1)
+  for (const LoadSubstrate ls : {LoadSubstrate(ps), LoadSubstrate(csr)}) {
+    SCOPED_TRACE(ls.kind());
+    StripeProjection proj;
+    for (const Rect& r : rects) {
+      proj.assign_row_projection(ls, r);
+      const auto rp = proj.prefix();
+      ASSERT_EQ(rp.size(), static_cast<std::size_t>(r.x1 - r.x0) + 1);
+      for (int k = r.x0; k <= r.x1; ++k) {
+        ASSERT_EQ(rp[k - r.x0], ps.load(r.x0, k, r.y0, r.y1)) << "left@" << k;
+        ASSERT_EQ(rp.back() - rp[k - r.x0], ps.load(k, r.x1, r.y0, r.y1))
+            << "right@" << k;
+      }
+      proj.assign_col_projection(ls, r);
+      const auto cp = proj.prefix();
+      ASSERT_EQ(cp.size(), static_cast<std::size_t>(r.y1 - r.y0) + 1);
+      for (int k = r.y0; k <= r.y1; ++k) {
+        ASSERT_EQ(cp[k - r.y0], ps.load(r.x0, r.x1, r.y0, k)) << "left@" << k;
+        ASSERT_EQ(cp.back() - cp[k - r.y0], ps.load(r.x0, r.x1, k, r.y1))
+            << "right@" << k;
+      }
     }
   }
 }
