@@ -110,12 +110,11 @@ int main(int argc, char** argv) {
 
   // --- One run per family on the sparse substrate.  The exact DP
   // references (hier-opt, spiral-opt) sit outside their n <= 255 envelope
-  // here.  jag-m-opt is back on the roster: its feasibility probes run
-  // through the search-owned StripeProbeCache (jag_opt.cpp) — at this
-  // scale the lazy Γ-row ladder, which makes each probe four array loads —
-  // instead of materializing an O(nnz_stripe + n2) stripe projection per
-  // probe, the 26x scatter constant that kept it off (measured 15.6x
-  // end-to-end on this gated configuration). ---
+  // here.  jag-m-opt is on the roster because its feasibility probes read
+  // two Γ rows from the search's GammaRowStore (prefix/gamma_rows.hpp) —
+  // at this scale every row stays once built, so each probe is four array
+  // loads — instead of materializing an O(nnz_stripe + n2) stripe
+  // projection per probe, the 26x scatter constant that kept it off. ---
   const char* kAlgos[] = {"rect-uniform", "rect-nicol", "hier-rb",
                           "hier-relaxed", "jag-m-heur", "jag-pq-heur",
                           "jag-pq-opt", "jag-m-opt"};

@@ -149,6 +149,19 @@ build-scalar/tests/test_parallel --gtest_filter='ParallelLayer*'
 build-scalar/tests/test_service
 scripts/bench_gate.sh build-scalar
 
+echo "== tier-1: AddressSanitizer (Γ-row store slots + untrusted loaders) =="
+# The exact jagged searches address every Γ row of their stores by hand-
+# computed slot offsets, and the file loaders size their allocations from
+# untrusted headers: those suites, and the pool they run on, under ASan
+# (LeakSanitizer on), in a build tree of their own.
+cmake -B build-asan -S . -DRECTPART_SANITIZE=address >/dev/null
+cmake --build build-asan -j "$jobs" \
+  --target test_jagged_opt test_sparse_load test_io test_parallel
+build-asan/tests/test_jagged_opt
+build-asan/tests/test_sparse_load
+build-asan/tests/test_io
+build-asan/tests/test_parallel
+
 echo "== tier-1: ThreadSanitizer (thread pool + determinism suites) =="
 cmake -B build-tsan -S . -DRECTPART_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$jobs" \

@@ -1,5 +1,6 @@
 #include "io/matrix_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -82,6 +83,16 @@ LoadMatrix load_matrix_text(const std::string& path) {
   int n1 = 0, n2 = 0;
   if (!(in >> n1 >> n2) || n1 < 0 || n2 < 0)
     io_fail("malformed header (expected 'n1 n2', both >= 0)", path);
+  // Every cell takes at least a byte, so a header the rest of the file
+  // cannot hold fails before the allocation it sizes; a shorter shortfall
+  // surfaces below, naming the first missing cell.
+  const std::int64_t cells = std::int64_t{n1} * n2;
+  const std::int64_t have = in.eof() ? 0 : bytes_remaining(in);
+  if (cells > have)
+    io_fail_at("truncated matrix body (header declares " + std::to_string(n1) +
+                   "x" + std::to_string(n2) + " cells, file holds " +
+                   std::to_string(have) + " more bytes)",
+               path, static_cast<std::int64_t>(in.tellg()));
   LoadMatrix a(n1, n2);
   for (int x = 0; x < n1; ++x) {
     for (int y = 0; y < n2; ++y) {
@@ -175,15 +186,27 @@ CooInstance load_coo_text(const std::string& path) {
   CooInstance coo;
   coo.n1 = static_cast<int>(n1);
   coo.n2 = static_cast<int>(n2);
-  coo.entries.reserve(static_cast<std::size_t>(nnz));
+  // An entry is at least "r c v" plus a separator: the header's nnz reserves
+  // no more than the rest of the file can hold.
+  const std::int64_t have = in.eof() ? 0 : bytes_remaining(in);
+  coo.entries.reserve(static_cast<std::size_t>(std::min(nnz, (have + 1) / 6)));
+  const auto check_index = [&](std::int64_t k, const char* what,
+                               std::int64_t i, std::int64_t n) {
+    if (i < 1 || i > n)
+      io_fail("COO entry " + std::to_string(k) + ": " + what + " index " +
+                  std::to_string(i) + " outside [1, " + std::to_string(n) +
+                  "]",
+              path);
+  };
   for (std::int64_t k = 0; k < nnz; ++k) {
     std::int64_t r = 0, c = 0, v = 0;
     if (!(in >> r >> c >> v))
       io_fail("truncated or malformed COO body at entry " + std::to_string(k) +
                   " of " + std::to_string(nnz),
               path);
-    // 1-based on disk; range errors surface in from_coo with the 0-based
-    // coordinates these produce.
+    // 1-based on disk, checked before narrowing to the 0-based int32 pair.
+    check_index(k, "row", r, n1);
+    check_index(k, "column", c, n2);
     coo.entries.push_back(CooEntry{static_cast<std::int32_t>(r - 1),
                                    static_cast<std::int32_t>(c - 1), v});
   }

@@ -82,6 +82,16 @@ LoadMatrix load_pgm(const std::string& path) {
   // checked_extent rejects rows*cols products that overflow; a hostile
   // header therefore fails typed instead of allocating near SIZE_MAX.
   const std::size_t cells = checked_extent({rows, cols});
+  // A header the rest of the file cannot hold fails before the allocation
+  // it sizes.
+  in.seekg(0, std::ios::end);
+  const std::int64_t have =
+      static_cast<std::int64_t>(in.tellg()) - body_off;
+  in.seekg(body_off);
+  if (static_cast<std::uint64_t>(have) < cells)
+    fail_at("truncated PGM raster (expected " + std::to_string(cells) +
+                " bytes, file holds " + std::to_string(have) + ")",
+            body_off);
   std::vector<unsigned char> pix(cells);
   in.read(reinterpret_cast<char*>(pix.data()),
           static_cast<std::streamsize>(cells));

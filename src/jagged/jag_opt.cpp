@@ -26,7 +26,6 @@
 #include <cassert>
 #include <limits>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -36,9 +35,9 @@
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "oned/oned.hpp"
+#include "prefix/gamma_rows.hpp"
 #include "rectilinear/rectilinear.hpp"
 #include "util/parallel.hpp"
-#include "util/simd.hpp"
 
 namespace rectpart {
 
@@ -64,12 +63,16 @@ struct JointResult {
   int winner = 0;
 };
 
+/// Most lanes a joint search round fans out to.
+constexpr int kMaxLanes = 8;
+
 /// Smallest budget B* feasible for any orientation in `br` — one bracket,
 /// or HOR then VER under kBest — over per-orientation antitone predicates:
-/// feasible(s, b, w) must fill *w exactly when orientation s is feasible at
-/// b.  The orientations share one bracket [L, U], L the smallest lo and U
-/// the smallest hi; the leader is the orientation holding U (the first on
-/// ties).  Each round picks candidates inside [L, U) — the midpoint with one
+/// feasible(lane, s, b, w) must fill *w exactly when orientation s is
+/// feasible at b; `lane` is the candidate's index in its round (below
+/// kMaxLanes), so no two concurrent calls share one.  The orientations share
+/// one bracket [L, U], L the smallest lo and U the smallest hi; the leader
+/// is the orientation holding U (the first on ties).  Each round picks candidates inside [L, U) — the midpoint with one
 /// lane, `lanes` evenly spaced points otherwise — and each candidate's lane
 /// probes the leader, then the other orientation if the leader failed and
 /// the other's status there is still unknown (lo <= candidate).  With
@@ -105,7 +108,7 @@ JointResult min_feasible_joint(std::vector<Bracket<W>>& br,
       for (int k = 0; k < sides; ++k) {
         const int s = (first + k) % sides;
         if (br[s].lo > cand[i]) continue;  // known infeasible here
-        if (feasible(s, cand[i], &bufs[i])) {
+        if (feasible(static_cast<int>(i), s, cand[i], &bufs[i])) {
           won[i] = s;
           return;
         }
@@ -124,7 +127,7 @@ JointResult min_feasible_joint(std::vector<Bracket<W>>& br,
     }
   };
 
-  const int lanes = std::min(num_threads(), 8);
+  const int lanes = std::min(num_threads(), kMaxLanes);
   if (incumbent_check && lower() < br[leader()].hi)
     round({br[leader()].hi - 1});
   while (lower() < br[leader()].hi) {
@@ -147,7 +150,7 @@ JointResult min_feasible_joint(std::vector<Bracket<W>>& br,
   JointResult r{br[leader()].hi, leader()};
   if (r.winner != 0 && br[0].lo <= r.best) {
     W w{};
-    if (feasible(0, r.best, &w)) {
+    if (feasible(0, 0, r.best, &w)) {
       br[0].hi = r.best;
       br[0].witness = std::move(w);
       br[0].has_witness = true;
@@ -174,146 +177,6 @@ std::vector<oned::Cuts> solve_stripes(const LoadSubstrate& ps,
   });
   return col_cuts;
 }
-
-/// Largest (rows+1) x (cols+1) cell count the Γ ladder materializes:
-/// 2^23 cells is a 64 MiB ladder per concurrent search.  At the bench-gate
-/// scale (n=1024, nnz=32768, m=32) the parametric search issues ~360M
-/// interval probes against 32k nonzeros — every stripe of the instance is
-/// probed many times over — so the one-time O(rows x cols) ladder build is
-/// paid back thousands of times and the solve runs at dense-probe speed.
-constexpr std::int64_t kGammaLadderMaxCells = std::int64_t{1} << 23;
-
-/// Widest instance the incremental scatter cache serves beyond the ladder
-/// envelope: its per-call cost is the O(cols) rescan, so past this width the
-/// per-probe SparseStripeOracle — whose query cost is bounded by the tile
-/// fringe, independent of cols — takes over.  Measured at the gate scale
-/// with the ladder disabled, the scatter cache answers a stripe_parts call
-/// in ~1/2 the time of the per-probe oracle (~92 oracle loads per call,
-/// each walking ~13 fringe rows).
-constexpr int kScatterCacheMaxCols = 1 << 16;
-
-/// Probe-side acceleration state for the CSR feasibility probes, owned by
-/// one search (one MWayProbe, or one pq_feasible sweep) and threaded through
-/// stripe_parts — search-local ownership keeps the lanes of a parallel
-/// bisection independent and leaves nothing alive across solves.  The mode
-/// is a pure function of the instance shape, so probe counts and verdicts
-/// are identical across thread widths:
-///
-///  * Γ ladder (cells <= kGammaLadderMaxCells): dense Γ rows materialized
-///    bottom-up on demand — row e is row e-1 plus the scan of CSR row e-1's
-///    entries, scattered into an O(cols) scratch row — after which every
-///    probe is a StripeColsOracle over two ladder rows: four array loads.
-///  * scatter cache (cols <= kScatterCacheMaxCols): the stripe's raw
-///    per-column counts slide to [a, b) by signed row scatters
-///    (SparseLoadCSR::scatter_rows); one O(cols) simd::scan_row per call.
-///  * tiled-Γ oracle (wider): SparseStripeOracle per-probe interval queries
-///    at fringe-bounded cost — the only mode whose footprint is
-///    O(tile grid), which is what web-scale instances require.
-///
-/// All three compute the same int64 entry sums, just re-associated, so the
-/// returned part counts — and with them every verdict of the parametric
-/// search — are bit-identical across modes.
-class StripeProbeCache {
- public:
-  /// Minimum number of column intervals of load <= B covering stripe
-  /// [a, b), or nullopt when impossible or when the count exceeds `cap`.
-  std::optional<int> parts(const SparseLoadCSR& csr, int a, int b,
-                           std::int64_t B, int cap) {
-    const int n2 = csr.cols();
-    const std::int64_t cells =
-        (static_cast<std::int64_t>(csr.rows()) + 1) *
-        (static_cast<std::int64_t>(n2) + 1);
-    if (cells <= kGammaLadderMaxCells) {
-      ensure_ladder(csr, b);
-      const StripeColsOracle o(ladder_row(a), ladder_row(b), n2);
-      return oned::min_parts_within(o, 0, n2, B, cap);
-    }
-    if (n2 <= kScatterCacheMaxCols) {
-      const oned::PrefixOracle o(scatter_prefix(csr, a, b));
-      return oned::min_parts_within(o, 0, n2, B, cap);
-    }
-    const SparseStripeOracle o(csr, a, b);
-    return oned::min_parts_within(o, 0, n2, B, cap);
-  }
-
- private:
-  [[nodiscard]] const std::int64_t* ladder_row(int e) const {
-    return ladder_.data() + static_cast<std::size_t>(e) * stride_;
-  }
-
-  /// Extends the ladder so rows [0, e] are materialized.  Each Γ row is
-  /// built exactly once per search: CSR row built_ scatters into the zeroed
-  /// scratch row, next[j+1] = prev[j+1] + (scan of the scratch through j) is
-  /// one simd::scan_row, and the row's entries are cleared again.
-  void ensure_ladder(const SparseLoadCSR& csr, int e) {
-    const int n2 = csr.cols();
-    if (csr_ != &csr) {
-      csr_ = &csr;
-      stride_ = static_cast<std::size_t>(n2) + 1;
-      ladder_.assign(static_cast<std::size_t>(csr.rows() + 1) * stride_, 0);
-      scratch_.assign(static_cast<std::size_t>(n2), 0);
-      built_ = 0;  // row 0 of Γ is identically zero
-      RECTPART_COUNT(kProjectionsBuilt, 1);
-    }
-    const auto& rs = csr.row_start();
-    const auto& ci = csr.col_index();
-    for (; built_ < e; ++built_) {
-      const std::int64_t* prev = ladder_row(built_);
-      std::int64_t* next = ladder_.data() +
-                           (static_cast<std::size_t>(built_) + 1) * stride_;
-      const std::int64_t k0 = rs[static_cast<std::size_t>(built_)];
-      const std::int64_t k1 = rs[static_cast<std::size_t>(built_) + 1];
-      if (k0 == k1) {
-        std::copy(prev, prev + stride_, next);
-        continue;
-      }
-      csr.scatter_rows(built_, built_ + 1, +1, scratch_);
-      simd::scan_row(scratch_.data(), prev + 1, next + 1,
-                     static_cast<std::size_t>(n2), 0, nullptr);
-      for (std::int64_t k = k0; k < k1; ++k)
-        scratch_[static_cast<std::size_t>(ci[static_cast<std::size_t>(k)])] = 0;
-    }
-  }
-
-  /// Slides the scatter cache to stripe [a, b) and rescans its prefix.
-  /// int64 arithmetic is exact, so the signed deltas are true inverses and
-  /// the prefix after any reposition sequence is bit-identical to a cold
-  /// build.
-  [[nodiscard]] std::span<const std::int64_t> scatter_prefix(
-      const SparseLoadCSR& csr, int a, int b) {
-    const int n2 = csr.cols();
-    if (csr_ != &csr || b <= lo_ || a >= hi_) {
-      csr_ = &csr;
-      counts_.assign(static_cast<std::size_t>(n2), 0);
-      csr.scatter_rows(a, b, +1, counts_);
-      RECTPART_COUNT(kProjectionsBuilt, 1);
-    } else {
-      if (a < lo_) csr.scatter_rows(a, lo_, +1, counts_);
-      if (a > lo_) csr.scatter_rows(lo_, a, -1, counts_);
-      if (b > hi_) csr.scatter_rows(hi_, b, +1, counts_);
-      if (b < hi_) csr.scatter_rows(b, hi_, -1, counts_);
-    }
-    lo_ = a;
-    hi_ = b;
-    p_.resize(static_cast<std::size_t>(n2) + 1);
-    p_[0] = 0;
-    simd::scan_row(counts_.data(), nullptr, p_.data() + 1,
-                   static_cast<std::size_t>(n2), 0, nullptr);
-    return p_;
-  }
-
-  const SparseLoadCSR* csr_ = nullptr;
-  // Γ-ladder state: rows [0, built_] of Γ are valid, row stride stride_;
-  // scratch_ is the per-column scatter row, all zero between row builds.
-  std::vector<std::int64_t> ladder_;
-  std::size_t stride_ = 0;
-  int built_ = 0;
-  std::vector<std::int64_t> scratch_;
-  // Scatter-cache state: counts_ holds rows [lo_, hi_), p_ its last scan.
-  std::vector<std::int64_t> counts_;
-  std::vector<std::int64_t> p_;
-  int lo_ = 0, hi_ = 0;
-};
 
 /// The substrate the exact searches run their feasibility probes on.  An
 /// axis-swapped dense view (a -VER/kBest orientation) is replaced by the
@@ -372,30 +235,33 @@ std::vector<Bracket<W>> open_brackets(const std::vector<Oriented>& o, int m,
 
 /// Minimum number of column intervals of load <= B covering stripe [a, b),
 /// or nullopt when impossible or when the count would exceed `cap`.  `ps`
-/// must be a probe_view.
+/// must be a probe_view.  On a CSR view the two Γ rows come from `rows`,
+/// the probing lane's store, which follows `ps`; a dense view has them all.
 std::optional<int> stripe_parts(const LoadSubstrate& ps, int a, int b,
-                                std::int64_t B, int cap,
-                                StripeProbeCache& pc) {
+                                std::int64_t B, int cap, GammaRowStore& rows) {
   assert(!ps.swapped());
   if (ps.is_dense()) {
-    StripeColsOracle o(ps.dense(), a, b);
+    const StripeColsOracle o(ps.dense(), a, b);
     return oned::min_parts_within(o, 0, ps.cols(), B, cap);
   }
-  return pc.parts(*ps.sparse(), a, b, B, cap);
+  rows.target(*ps.sparse());
+  const auto [ra, rb] = rows.rows(a, b);
+  const StripeColsOracle o(ra, rb, ps.cols());
+  return oned::min_parts_within(o, 0, ps.cols(), B, cap);
 }
 
 /// Largest e in [a+1, n1] such that stripe [a, e) needs at most `cap` column
 /// intervals of load <= B; requires the single row [a, a+1) to qualify.
 /// Galloping search on the antitone predicate.
 int max_stripe_end(const LoadSubstrate& ps, int a, std::int64_t B, int cap,
-                   StripeProbeCache& pc) {
+                   GammaRowStore& rows) {
   const int n1 = ps.rows();
   int good = a + 1;  // caller guarantees the single row qualifies
   int step = 1;
   int bad = n1 + 1;
   while (good + step <= n1) {
     const int probe = good + step;
-    if (stripe_parts(ps, a, probe, B, cap, pc).has_value()) {
+    if (stripe_parts(ps, a, probe, B, cap, rows).has_value()) {
       good = probe;
       step *= 2;
     } else {
@@ -405,7 +271,7 @@ int max_stripe_end(const LoadSubstrate& ps, int a, std::int64_t B, int cap,
   }
   while (good + 1 < bad) {
     const int mid = good + (bad - good) / 2;
-    if (stripe_parts(ps, a, mid, B, cap, pc).has_value())
+    if (stripe_parts(ps, a, mid, B, cap, rows).has_value())
       good = mid;
     else
       bad = mid;
@@ -418,19 +284,18 @@ int max_stripe_end(const LoadSubstrate& ps, int a, std::int64_t B, int cap,
 /// Greedy feasibility for P x Q-way jagged with bottleneck B.  On success and
 /// when `out` is non-null, writes the stripe boundaries (padded to P stripes).
 bool pq_feasible(const LoadSubstrate& ps, int p, int q, std::int64_t B,
-                 oned::Cuts* out, const RunContext* ctx) {
+                 oned::Cuts* out, const RunContext* ctx, GammaRowStore& rows) {
   const int n1 = ps.rows();
   // Reused across the bisection's many probes; safe because nothing in the
   // sweep re-enters the execution layer on this thread.
   thread_local std::vector<int> ends;
   ends.clear();
-  StripeProbeCache pc;  // per-sweep probe acceleration (CSR substrates)
   int a = 0;
   while (a < n1) {
     poll_deadline(ctx, "jag-pq-opt feasibility sweep");
     if (static_cast<int>(ends.size()) == p) return false;
-    if (!stripe_parts(ps, a, a + 1, B, q, pc).has_value()) return false;
-    a = max_stripe_end(ps, a, B, q, pc);
+    if (!stripe_parts(ps, a, a + 1, B, q, rows).has_value()) return false;
+    a = max_stripe_end(ps, a, B, q, rows);
     ends.push_back(a);
   }
   if (out) {
@@ -457,13 +322,13 @@ struct MWayProbe {
   std::vector<int> next_drop;  // first index > s with f strictly smaller
   std::vector<int> choice_e;   // stripe end realizing f[s]
   std::vector<int> choice_c;   // processor count of that stripe
-  StripeProbeCache pc;         // per-probe acceleration (CSR substrates)
 
   explicit MWayProbe(const LoadSubstrate& p, int m_, std::int64_t b,
                      const RunContext* c = nullptr)
       : ps(p), m(m_), B(b), ctx(c) {}
 
-  bool run() {
+  /// `rows` as for stripe_parts.
+  bool run(GammaRowStore& rows) {
     const int n1 = ps.rows();
     const int inf = m + 1;
     f.assign(n1 + 1, inf);
@@ -479,11 +344,11 @@ struct MWayProbe {
       if ((s & 63) == 0) poll_deadline(ctx, "jag-m-opt suffix DP");
       int best = inf, best_e = n1, best_c = 0;
       // Minimal processor count for any stripe starting at s: the single row.
-      const auto c_min = stripe_parts(ps, s, s + 1, B, m, pc);
+      const auto c_min = stripe_parts(ps, s, s + 1, B, m, rows);
       if (c_min.has_value()) {
         int c = *c_min;
         while (c < best && c <= m) {
-          const int e = max_stripe_end(ps, s, B, c, pc);
+          const int e = max_stripe_end(ps, s, B, c, rows);
           const int cand = (f[e] >= inf) ? inf
                                          : std::min(inf, c + f[e]);
           if (cand < best) {
@@ -498,7 +363,7 @@ struct MWayProbe {
           // precisely next_drop[e].
           const int ed = next_drop[e];
           if (ed > n1) break;
-          const auto c_next = stripe_parts(ps, s, ed, B, m, pc);
+          const auto c_next = stripe_parts(ps, s, ed, B, m, rows);
           if (!c_next.has_value()) break;  // needs more than m parts
           c = *c_next;
         }
@@ -515,18 +380,20 @@ struct MWayProbe {
   }
 };
 
-/// Extracts the partition from a feasible probe at B.  `witness` is a probe
-/// whose DP already ran at exactly B (retained from the parametric search);
-/// when absent the DP is re-run.  The walk over choice_e/choice_c is a pure
-/// function of B either way, so both paths yield the same partition.
-Partition m_opt_extract(const LoadSubstrate& ps, int m, std::int64_t B,
-                        const MWayProbe* witness, const RunContext* ctx) {
+/// Extracts the partition of `win` from a feasible probe at B.  `witness`
+/// is a probe whose DP already ran at exactly B (retained from the
+/// parametric search); when absent the DP is re-run on `rows`.  The walk
+/// over choice_e/choice_c is a pure function of B either way, so both paths
+/// yield the same partition.
+Partition m_opt_extract(const Oriented& win, int m, std::int64_t B,
+                        const MWayProbe* witness, const RunContext* ctx,
+                        GammaRowStore& rows) {
   std::unique_ptr<MWayProbe> own;
   if (witness) {
     RECTPART_COUNT(kWitnessReprobesAvoided, 1);
   } else {
-    own = std::make_unique<MWayProbe>(probe_view(ps), m, B, ctx);
-    if (!own->run())
+    own = std::make_unique<MWayProbe>(win.probe, m, B, ctx);
+    if (!own->run(rows))
       throw std::logic_error("jag_m_opt: optimum not feasible (bug)");
     witness = own.get();
   }
@@ -535,7 +402,7 @@ Partition m_opt_extract(const LoadSubstrate& ps, int m, std::int64_t B,
   row_cuts.pos.push_back(0);
   std::vector<StripeTask> tasks;
   int s = 0;
-  const int n1 = ps.rows();
+  const int n1 = win.view.rows();
   while (s < n1) {
     const int e = witness->choice_e[s];
     const int c = witness->choice_c[s];
@@ -543,42 +410,8 @@ Partition m_opt_extract(const LoadSubstrate& ps, int m, std::int64_t B,
     tasks.push_back({s, e, c});
     s = e;
   }
-  return jag_detail::assemble_jagged(row_cuts, solve_stripes(ps, tasks), m);
-}
-
-/// The m-way joint search: the orientations searched, their closed
-/// brackets, and where the search closed.
-struct MWaySolve {
-  std::vector<Oriented> o;
-  std::vector<Bracket<std::unique_ptr<MWayProbe>>> br;
-  JointResult r;
-};
-
-MWaySolve m_opt_solve(const LoadSubstrate& ps, int m, Orientation orient,
-                      const RunContext* ctx) {
-  MWaySolve s{orientations(ps, orient), {}, {}};
-  JaggedOptions heur_opt;
-  heur_opt.orientation = Orientation::kHorizontal;
-  heur_opt.ctx = ctx;
-  s.br = open_brackets<std::unique_ptr<MWayProbe>>(
-      s.o, m,
-      [&](const LoadSubstrate& v) { return jag_m_heur(v, m, heur_opt); });
-  // Each candidate bottleneck gets its own MWayProbe, so the concurrent
-  // lanes share nothing but the immutable prefix arrays; the probe of each
-  // orientation's last success survives as its witness.  No incumbent
-  // check: JAG-M-HEUR's bound is rarely optimal, and probing ub - 1 first
-  // added probes on every gated bench instance (fig06 at m = 64: 221k ->
-  // 239k oned probe calls).
-  s.r = min_feasible_joint(
-      s.br, /*incumbent_check=*/false,
-      [&](int side, std::int64_t b, std::unique_ptr<MWayProbe>* out) {
-        auto candidate =
-            std::make_unique<MWayProbe>(s.o[side].probe, m, b, ctx);
-        if (!candidate->run()) return false;
-        *out = std::move(candidate);
-        return true;
-      });
-  return s;
+  return jag_detail::assemble_jagged(row_cuts, solve_stripes(win.view, tasks),
+                                     m);
 }
 
 }  // namespace
@@ -605,17 +438,21 @@ Partition jag_pq_opt(const LoadSubstrate& ps, int m, const JaggedOptions& opt) {
   // — its stripe boundaries come from the optimal 1-D split of the
   // projection, which on smooth instances the exact engine cannot improve —
   // and then every probe below it fails; the incumbent check settles that
-  // case in one infeasible probe per orientation.
+  // case in one infeasible probe per orientation.  The CSR probes read Γ rows
+  // through one store per lane, kept for the whole solve: no Γ row depends
+  // on the candidate B, so every round reads the rows earlier ones built.
+  std::vector<GammaRowStore> rows(kMaxLanes);
   const JointResult r = min_feasible_joint(
       br, /*incumbent_check=*/true,
-      [&](int side, std::int64_t b, oned::Cuts* w) {
-        return pq_feasible(o[side].probe, p, q, b, w, opt.ctx);
+      [&](int lane, int side, std::int64_t b, oned::Cuts* w) {
+        return pq_feasible(o[side].probe, p, q, b, w, opt.ctx, rows[lane]);
       });
   const Oriented& win = o[r.winner];
   oned::Cuts& row_cuts = br[r.winner].witness;
   if (br[r.winner].has_witness) {
     RECTPART_COUNT(kWitnessReprobesAvoided, 1);
-  } else if (!pq_feasible(win.probe, p, q, r.best, &row_cuts, opt.ctx)) {
+  } else if (!pq_feasible(win.probe, p, q, r.best, &row_cuts, opt.ctx,
+                          rows[0])) {
     throw std::logic_error("jag_pq_opt: optimum not feasible (bug)");
   }
 
@@ -629,18 +466,38 @@ Partition jag_pq_opt(const LoadSubstrate& ps, int m, const JaggedOptions& opt) {
 
 Partition jag_m_opt(const LoadSubstrate& ps, int m, const JaggedOptions& opt) {
   RECTPART_SPAN("jag-m-opt");
-  const MWaySolve s = m_opt_solve(ps, m, opt.orientation, opt.ctx);
-  const Oriented& win = s.o[s.r.winner];
-  const auto& b = s.br[s.r.winner];
-  Partition part = m_opt_extract(win.view, m, s.r.best,
-                                 b.has_witness ? b.witness.get() : nullptr,
-                                 opt.ctx);
+  const std::vector<Oriented> o = orientations(ps, opt.orientation);
+  JaggedOptions heur_opt;
+  heur_opt.orientation = Orientation::kHorizontal;
+  heur_opt.ctx = opt.ctx;
+  std::vector<Bracket<std::unique_ptr<MWayProbe>>> br =
+      open_brackets<std::unique_ptr<MWayProbe>>(
+          o, m,
+          [&](const LoadSubstrate& v) { return jag_m_heur(v, m, heur_opt); });
+  // Each candidate bottleneck gets its own MWayProbe, so the concurrent
+  // lanes share nothing but the immutable prefix arrays and, per lane, a
+  // Γ-row store kept for the solve as in jag_pq_opt; the probe of each
+  // orientation's last success survives as its witness.  No incumbent
+  // check: JAG-M-HEUR's bound is rarely optimal, and probing ub - 1 first
+  // added probes on every gated bench instance (fig06 at m = 64: 221k ->
+  // 239k oned probe calls).
+  std::vector<GammaRowStore> rows(kMaxLanes);
+  const JointResult r = min_feasible_joint(
+      br, /*incumbent_check=*/false,
+      [&](int lane, int side, std::int64_t b,
+          std::unique_ptr<MWayProbe>* out) {
+        auto candidate =
+            std::make_unique<MWayProbe>(o[side].probe, m, b, opt.ctx);
+        if (!candidate->run(rows[lane])) return false;
+        *out = std::move(candidate);
+        return true;
+      });
+  const Oriented& win = o[r.winner];
+  const auto& w = br[r.winner];
+  Partition part = m_opt_extract(win, m, r.best,
+                                 w.has_witness ? w.witness.get() : nullptr,
+                                 opt.ctx, rows[0]);
   return win.transposed ? transpose_partition(std::move(part)) : part;
-}
-
-std::int64_t jag_m_opt_bottleneck(const LoadSubstrate& ps, int m,
-                                  Orientation orient) {
-  return m_opt_solve(ps, m, orient, nullptr).r.best;
 }
 
 }  // namespace rectpart

@@ -31,16 +31,16 @@ namespace rectpart {
 /// The two bordered Γ-row pointers are cached at construction, so a query is
 /// four adjacent-row loads with no row-offset multiply.  Empty stripes
 /// (a == b) degenerate to the all-zero oracle, matching PrefixSum2D::load.
-/// A dense-Γ detail: call sites branch on LoadSubstrate::is_dense() and
-/// materialize a StripeProjection on the CSR path instead (same oracle
-/// values, so the same cuts).
+/// On the CSR substrate the exact jagged searches read the two rows from a
+/// GammaRowStore and every other call site materializes a StripeProjection
+/// instead (same oracle values, so the same cuts).
 class StripeColsOracle {
  public:
   StripeColsOracle(const PrefixSum2D& ps, int a, int b)
       : StripeColsOracle(ps.row_ptr(a), ps.row_ptr(b), ps.cols()) {}
 
   /// Over any two bordered Γ rows of n2+1 entries each — rows a and b of a
-  /// PrefixSum2D, or of the CSR probes' lazily built Γ ladder (jag_opt.cpp).
+  /// PrefixSum2D, or of a CSR search's GammaRowStore (prefix/gamma_rows.hpp).
   StripeColsOracle(const std::int64_t* ra, const std::int64_t* rb, int n2)
       : ra_(ra), rb_(rb), n2_(n2) {}
 
@@ -55,37 +55,6 @@ class StripeColsOracle {
   const std::int64_t* ra_;
   const std::int64_t* rb_;
   int n2_;
-};
-
-/// The CSR twin of StripeColsOracle: column-interval queries on a row stripe
-/// [a, b), answered directly by SparseLoadCSR::load — which routes tall
-/// stripes through the tiled Γ overlay (fringe-bounded cost) and short ones
-/// through the plain row walk.  Nothing is materialized, so its footprint is
-/// O(tile grid) regardless of instance width — this is the web-scale mode of
-/// the jagged search's StripeProbeCache (jag_opt.cpp), engaged beyond the
-/// Γ-ladder and scatter-cache envelopes where anything O(rows x cols) or
-/// O(cols)-per-call is off the table.  Queries return the same
-/// association-free int64 sums a projection would, so every cut decision
-/// downstream is bit-identical.  loads_per_query mirrors StripeColsOracle's
-/// 4-word model: the oned_oracle_loads instrument stays comparable across
-/// substrates (the substrate's own traffic shows up in sparse_rows_touched /
-/// tile_fringe_rows instead).
-class SparseStripeOracle {
- public:
-  SparseStripeOracle(const SparseLoadCSR& csr, int a, int b)
-      : csr_(&csr), a_(a), b_(b) {}
-
-  [[nodiscard]] int size() const { return csr_->cols(); }
-  [[nodiscard]] std::int64_t load(int i, int j) const {
-    if (i >= j) return 0;
-    return csr_->load(a_, b_, i, j);
-  }
-  [[nodiscard]] std::int64_t loads_per_query() const { return 4; }
-
- private:
-  const SparseLoadCSR* csr_;
-  int a_;
-  int b_;
 };
 
 /// How JAG-M-HEUR distributes processors to stripes (ablation of the
@@ -155,11 +124,5 @@ struct JaggedOptions {
 /// instances; kept for cross-validation of jag_m_opt.
 [[nodiscard]] Partition jag_m_opt_dp(const LoadSubstrate& ls, int m,
                                      const JaggedOptions& opt = {});
-
-/// The bottleneck of the optimal m-way jagged partition without materializing
-/// the partition (the search without the extraction pass; the tests use it
-/// to check the bottleneck alone).
-[[nodiscard]] std::int64_t jag_m_opt_bottleneck(const LoadSubstrate& ls, int m,
-                                                Orientation orient);
 
 }  // namespace rectpart

@@ -172,12 +172,11 @@ class SparseLoadCSR {
 
   /// Signed scatter of the row range [a, b) into per-column entry counts:
   /// counts[j] += sign * value(i, j) for every stored entry, counts size
-  /// cols().  No scan — this is the delta primitive under the jagged DP's
-  /// incremental stripe cache, which slides a stripe's endpoints by ±1 row
-  /// deltas instead of rebuilding the whole projection per probe.  Exact
-  /// int64 arithmetic makes the subtraction a true inverse, so any sequence
-  /// of repositions yields bit-identical prefixes.  Touched nonzero rows are
-  /// counted into sparse_rows_touched.
+  /// cols().  No scan — this is the delta primitive under GammaRowStore
+  /// (prefix/gamma_rows.hpp), which builds a Γ row from the nearest stored
+  /// one, above or below.  Exact int64 arithmetic makes the subtraction a
+  /// true inverse, so a row is bit-identical however it was reached.
+  /// Touched nonzero rows are counted into sparse_rows_touched.
   void scatter_rows(int a, int b, std::int64_t sign,
                     std::span<std::int64_t> counts) const;
 

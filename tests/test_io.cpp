@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "io/matrix_io.hpp"
 #include "io/partition_io.hpp"
@@ -224,6 +225,68 @@ TEST_F(IoTest, PgmLoaderRejectsBadInput) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("truncated PGM raster"), std::string::npos) << msg;
     EXPECT_NE(msg.find("byte offset"), std::string::npos) << msg;
+  }
+}
+
+// A header the rest of the file cannot hold is a typed runtime_error raised
+// before the allocation it would size (here 80 GB and 40 GB), as the binary
+// loaders already do.
+TEST_F(IoTest, DenseTextHeaderPastTheFileFailsBeforeAllocating) {
+  std::ofstream(path("huge.txt")) << "100000 100000\n1 2 3\n";
+  try {
+    (void)load_matrix_text(path("huge.txt"));
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("truncated matrix body"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("100000x100000"), std::string::npos) << msg;
+  }
+}
+
+TEST_F(IoTest, PgmHeaderPastTheFileFailsBeforeAllocating) {
+  std::ofstream(path("huge.pgm"), std::ios::binary)
+      << "P5\n200000 200000\n255\nabcd";
+  try {
+    (void)load_pgm(path("huge.pgm"));
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("truncated PGM raster"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("file holds 4"), std::string::npos) << msg;
+  }
+}
+
+// 1-based COO indices are checked before they narrow to int32: row
+// 4294967297 would otherwise wrap to row 1 of a 4x4 instance.
+TEST_F(IoTest, CooTextRejectsAnIndexOutsideItsDimension) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"4 4 2\n1 1 5\n4294967297 2 3\n", "COO entry 1: row index 4294967297 "
+                                          "outside [1, 4]"},
+      {"4 4 1\n2 0 3\n", "COO entry 0: column index 0 outside [1, 4]"},
+      {"4 4 1\n2 5 3\n", "COO entry 0: column index 5 outside [1, 4]"}};
+  for (const auto& [text, want] : cases) {
+    std::ofstream(path("bad.mtx")) << text;
+    try {
+      (void)load_coo_text(path("bad.mtx"));
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// The header's nnz reserves no more entries than the file can hold: a
+// trillion-entry header on a one-entry file fails as truncated, typed.
+TEST_F(IoTest, CooTextHeaderPastTheFileFailsAsTruncated) {
+  std::ofstream(path("huge.mtx")) << "4 4 1000000000000\n1 1 5\n";
+  try {
+    (void)load_coo_text(path("huge.mtx"));
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("COO body at entry 1 of"),
+              std::string::npos)
+        << e.what();
   }
 }
 

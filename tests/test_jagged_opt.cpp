@@ -154,32 +154,68 @@ TEST(JagOpt, BestPicksHorOnTiesAndTheVerPartitionOtherwise) {
   EXPECT_GT(ver_wins, 0);
 }
 
-// The CSR probe tiers past the Γ ladder.  StripeProbeCache (jag_opt.cpp)
-// picks its mode from the shape alone: (rows+1)(cols+1) <= 2^23 builds the
-// Γ ladder, which every small CSR instance elsewhere in the suite takes;
-// wider instances with cols <= 2^16 slide the incremental scatter cache,
-// and wider still probe SparseStripeOracle per query.  A 127-row instance
-// crosses the ladder envelope at 65536 columns (128 x 65537 = 8,388,736 >
-// 2^23 = 8,388,608), so 65536 and 65537 columns pin the scatter tier and
-// the per-probe tier.  Both exact engines must return the dense twin's
-// partition rectangle for rectangle.
-void expect_csr_tier_matches_dense_twin(int cols) {
-  const int rows = 127;
-  CooInstance coo = gen_powerlaw_coo(rows, cols, 4096, /*seed=*/7);
+// The CSR probes at the envelopes of the old probe tiers.  The exact
+// searches read Γ rows from one GammaRowStore per lane whose capacity
+// depends on the shape alone (prefix/gamma_rows.hpp): every row while Γ has
+// at most 2^23 cells, a few slots beyond.  127 x 65536 and 127 x 65537 sat
+// on either side of the old scatter-cache width (2^16 columns), and all
+// four shapes below — those two and their transposes — sit just past the
+// old Γ-ladder envelope, which is also the store's: 128 x 65537 and
+// 128 x 65538 cells exceed 2^23.  Their stores keep two 65537-wide rows
+// (or 64 of the transposes' 128-wide ones) and evict on nearly every
+// probe.  jag-pq-opt runs HOR, VER and BEST; jag-m-opt, at m = 4, the
+// orientation whose stripes split the 127-long axis — its suffix DP over
+// the 65536-long one runs for seconds on either substrate.  Every run must
+// return the dense twin's partition rectangle for rectangle, at 1 and 4
+// threads.
+void expect_csr_matches_dense_twin(int rows, int cols) {
+  const bool wide = rows < cols;
+  CooInstance coo = wide ? gen_powerlaw_coo(rows, cols, 4096, /*seed=*/7)
+                         : gen_powerlaw_coo(cols, rows, 4096, /*seed=*/7);
+  if (!wide)
+    for (CooEntry& e : coo.entries) std::swap(e.r, e.c);
   const SparseLoadCSR csr =
       SparseLoadCSR::from_coo(rows, cols, std::move(coo.entries));
   const PrefixSum2D dense(csr.to_dense());
-  const int m = 16;
-  EXPECT_EQ(jag_pq_opt(csr, m, hor()).rects, jag_pq_opt(dense, m, hor()).rects);
-  EXPECT_EQ(jag_m_opt(csr, m, hor()).rects, jag_m_opt(dense, m, hor()).rects);
+  JaggedOptions ver;
+  ver.orientation = Orientation::kVertical;
+  JaggedOptions best;
+  best.orientation = Orientation::kBest;
+  struct Run {
+    const char* name;
+    Partition (*engine)(const LoadSubstrate&, int, const JaggedOptions&);
+    int m;
+    JaggedOptions opt;
+  };
+  const Run runs[] = {{"jag-pq-opt-hor", jag_pq_opt, 16, hor()},
+                      {"jag-pq-opt-ver", jag_pq_opt, 16, ver},
+                      {"jag-pq-opt-best", jag_pq_opt, 16, best},
+                      {"jag-m-opt", jag_m_opt, 4, wide ? hor() : ver}};
+  const int width = num_threads();
+  for (const Run& r : runs) {
+    set_threads(1);
+    const Partition want = r.engine(dense, r.m, r.opt);
+    for (const int threads : {1, 4}) {
+      set_threads(threads);
+      EXPECT_EQ(r.engine(csr, r.m, r.opt).rects, want.rects)
+          << r.name << " on " << rows << "x" << cols
+          << " (threads=" << threads << ")";
+    }
+  }
+  set_threads(width);
 }
 
-TEST(JagOptCsrTiers, ScatterCacheTierMatchesTheDenseTwin) {
-  expect_csr_tier_matches_dense_twin(1 << 16);
+TEST(JagOptCsrTiers, AtTheOldScatterCacheWidthMatchesTheDenseTwin) {
+  expect_csr_matches_dense_twin(127, 1 << 16);
 }
 
-TEST(JagOptCsrTiers, PerProbeOracleTierMatchesTheDenseTwin) {
-  expect_csr_tier_matches_dense_twin((1 << 16) + 1);
+TEST(JagOptCsrTiers, PastTheOldScatterCacheWidthMatchesTheDenseTwin) {
+  expect_csr_matches_dense_twin(127, (1 << 16) + 1);
+}
+
+TEST(JagOptCsrTiers, TransposesMatchTheDenseTwin) {
+  expect_csr_matches_dense_twin(1 << 16, 127);
+  expect_csr_matches_dense_twin((1 << 16) + 1, 127);
 }
 
 TEST(JagMOpt, ValidAndDominatesEverythingJagged) {
@@ -211,22 +247,12 @@ TEST(JagMOpt, MatchesPaperDpOnSmallInstances) {
   }
 }
 
-TEST(JagMOpt, BottleneckShortcutMatchesFullRun) {
-  const LoadMatrix a = gen_multipeak(16, 16, 3, 4);
-  const PrefixSum2D ps(a);
-  for (const int m : {3, 5, 8}) {
-    EXPECT_EQ(jag_m_opt_bottleneck(ps, m, Orientation::kHorizontal),
-              jag_m_opt(ps, m, hor()).max_load(ps));
-  }
-}
-
 TEST(JagMOpt, MonotoneNonIncreasingInM) {
   const LoadMatrix a = random_matrix(12, 12, 1, 20, 5);
   const PrefixSum2D ps(a);
   std::int64_t prev = std::numeric_limits<std::int64_t>::max();
   for (int m = 1; m <= 10; ++m) {
-    const std::int64_t l =
-        jag_m_opt_bottleneck(ps, m, Orientation::kHorizontal);
+    const std::int64_t l = jag_m_opt(ps, m, hor()).max_load(ps);
     EXPECT_LE(l, prev) << "m=" << m;
     prev = l;
   }
@@ -242,8 +268,7 @@ TEST(JagMOpt, ManyProcessorsReachMaxCell) {
   const LoadMatrix a = random_matrix(5, 5, 1, 9, 7);
   const PrefixSum2D ps(a);
   // With one processor per cell the bottleneck is the largest cell.
-  EXPECT_EQ(jag_m_opt_bottleneck(ps, 25, Orientation::kHorizontal),
-            ps.max_cell());
+  EXPECT_EQ(jag_m_opt(ps, 25, hor()).max_load(ps), ps.max_cell());
 }
 
 TEST(JagMOpt, SparseMatrixWithZeroRows) {

@@ -27,6 +27,7 @@
 #include "core/partitioner.hpp"
 #include "io/matrix_io.hpp"
 #include "obs/counters.hpp"
+#include "prefix/gamma_rows.hpp"
 #include "prefix/load_substrate.hpp"
 #include "prefix/prefix_sum.hpp"
 #include "prefix/stripe_projection.hpp"
@@ -547,6 +548,61 @@ TEST_F(SparseIoTest, TruncatedBinaryIsRejectedBeforeAllocation) {
   const auto full = std::filesystem::file_size(path("t.bin"));
   std::filesystem::resize_file(path("t.bin"), full - 24);
   EXPECT_THROW((void)load_coo_binary(path("t.bin")), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// GammaRowStore: Γ rows on demand for the exact jagged searches.
+
+// Past the resident envelope a 4096-wide store keeps two rows, so every
+// build below evicts one.  The sequence reaches each new row from a stored
+// row below it, from one above it (a negative scatter), by sliding the
+// evicted slot in place, into a different slot, and from the all-zero row
+// 0; every returned row must equal the stripe [0, e)'s column prefix.
+TEST(GammaRowStore, EvictsAndRebuildsFromRowsAboveAndBelow) {
+  const int n = 4096;
+  CooInstance coo = gen_powerlaw_coo(n, n, 1 << 14, 11);
+  const SparseLoadCSR csr =
+      SparseLoadCSR::from_coo(n, n, std::move(coo.entries));
+  ASSERT_GT(std::int64_t{n + 1} * (n + 1), GammaRowStore::kResidentCells);
+  ASSERT_EQ(GammaRowStore::capacity_for(n, n), 2);
+  GammaRowStore store;
+  store.target(csr);
+  std::vector<std::int64_t> want;
+  const auto expect_row = [&](int e, const std::int64_t* got) {
+    csr.accumulate_row_stripe(0, e, want);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), got)) << "row " << e;
+  };
+  const std::pair<int, int> probes[] = {
+      {10, 3000},    // 10 from row 0, 3000 from 10 below
+      {10, 2000},    // from 3000 above, sliding its slot
+      {10, 2500},    // from 2000 below, sliding its slot
+      {1500, 2500},  // from 2500 above, into 10's slot
+      {1500, 1501},  // from 1500 below
+      {0, n},        // row 0, then row n from 1501 below
+      {n - 1, n},    // from row n above
+      {7, 5}};       // 7 from row 0, 5 from 7 above
+  for (const auto& [a, b] : probes) {
+    const auto [ra, rb] = store.rows(a, b);
+    expect_row(a, ra);
+    expect_row(b, rb);
+  }
+  // Pointed at the mirror, the store drops its rows and serves Γᵀ's.
+  store.target(csr.transposed());
+  const auto [ra, rb] = store.rows(5, 4000);
+  csr.transposed().accumulate_row_stripe(0, 4000, want);
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), rb));
+  csr.transposed().accumulate_row_stripe(0, 5, want);
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), ra));
+}
+
+// While Γ fits the resident envelope the store keeps every row: a store on
+// a 1024x1024 instance holds all 1025.
+TEST(GammaRowStore, KeepsEveryRowOfASmallInstance) {
+  EXPECT_EQ(GammaRowStore::capacity_for(1024, 1024), 1025);
+  EXPECT_EQ(GammaRowStore::capacity_for(127, 65535), 128);
+  EXPECT_EQ(GammaRowStore::capacity_for(127, 65536), 2);
+  EXPECT_EQ(GammaRowStore::capacity_for(65536, 127), 64);
+  EXPECT_EQ(GammaRowStore::capacity_for(0, 0), 1);
 }
 
 // ---------------------------------------------------------------------------
