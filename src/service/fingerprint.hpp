@@ -4,9 +4,18 @@
 // the *content* of the submitted load matrix, not on any client-supplied
 // identifier: a client resubmitting the same cells gets the cached prefix
 // structure (and its lazily-built transpose) regardless of request ordering
-// or connection identity.  FNV-1a over the dimensions plus the raw cell
-// words is cheap (one pass, no allocation) and stable across processes, so
-// fingerprints can appear in logs and BENCH records.
+// or connection identity.  Every solve request, hit or miss, hashes its
+// whole payload, so the hash runs at memory speed: a 64-bit word hash with
+// four independent multiply-rotate lanes over 32-byte blocks (XXH64's
+// round and avalanche, written in-tree, words read through memcpy), whose
+// final mix folds in the total length and the sub-block tail.  Over a
+// 512 KiB payload (a 256x256 dense matrix, or 32768 COO triples) it takes
+// 57 us on a 4-vCPU x86-64 Xeon VM (-O3), against 841 us for the byte-wise
+// FNV-1a it replaced and 18 us for a memcpy of the same bytes.
+// The key chains the dimensions, then the cells; COO streams put a "coo"
+// domain tag ahead of their dimensions.  The value is stable across
+// processes and builds (no SIMD branch), so fingerprints can appear in
+// logs and BENCH records.
 //
 // A 64-bit content hash can collide in principle; the cache therefore
 // stores the dimensions next to the prefix structure and the server
@@ -16,27 +25,12 @@
 // vanishingly unlikely at cache capacities of a few dozen entries.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "core/matrix.hpp"
 #include "prefix/sparse_load.hpp"
 
 namespace rectpart::service {
-
-inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-/// FNV-1a64 over a byte range, chainable through `h`.
-[[nodiscard]] inline std::uint64_t fnv1a64(const void* data, std::size_t n,
-                                           std::uint64_t h = kFnvOffsetBasis) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 /// Content fingerprint of a load matrix: dimensions then raw cell words.
 /// Equal matrices hash equal on any host of the same endianness (the
@@ -46,9 +40,10 @@ inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 /// Content fingerprint of a COO stream: a format tag, the dimensions, then
 /// the raw 16-byte triples in arrival order.  The tag keeps the dense and
-/// sparse hash domains disjoint, so a dense payload can never alias a COO
-/// payload of identical bytes; entry *order* is part of the identity (the
-/// stream is hashed as received, before any CSR normalization).
+/// sparse hash domains apart: a dense payload and a COO payload of
+/// identical bytes are different hash inputs.  Entry *order* is part of the
+/// identity (the stream is hashed as received, before any CSR
+/// normalization).
 [[nodiscard]] std::uint64_t fingerprint_coo(const CooInstance& coo);
 
 }  // namespace rectpart::service

@@ -95,7 +95,7 @@ struct Response {
   bool cache_hit = false;
   bool deadline_return = false;
   std::string rebalance;  ///< "", "kept", or "repartitioned"
-  double ms = 0;
+  double ms = 0;  ///< daemon time from header parse (receipt) to the reply
   std::int64_t lmax = 0;
   double imbalance = 0;
   Partition partition;

@@ -428,6 +428,9 @@ bool Server::handle_solve(const std::shared_ptr<Connection>& conn,
   // not the logical rows*cols extent (that being unbounded is the point).
   constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   const bool is_coo = h.format == "coo";
+  // Receipt: the reply's `ms` and the SLO deadline both run from here, so
+  // they cover the payload read, the fingerprint and any substrate build.
+  const auto t0 = std::chrono::steady_clock::now();
 
   // Every solve attempt past header parse leaves one RequestRecord in the
   // flight ring and (if enabled) the access log, whatever exit path it
@@ -508,7 +511,6 @@ bool Server::handle_solve(const std::shared_ptr<Connection>& conn,
     return true;
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t key =
       is_coo ? fingerprint_coo(coo) : fingerprint_matrix(a);
   rec.fingerprint = key;
@@ -594,17 +596,18 @@ bool Server::handle_solve(const std::shared_ptr<Connection>& conn,
     return true;
   }
 
-  // SLO machine.  The deadline clock starts at request receipt, so the
-  // incumbent heuristic (the fallback answer) spends part of the budget;
-  // the requested algorithm gets whatever remains and is cut short by the
-  // base-class refusal or a cooperative in-loop poll.
+  // SLO machine.  The deadline clock starts at request receipt (t0), so
+  // the payload read, the fingerprint, any substrate build and the
+  // incumbent heuristic (the fallback answer) spend part of the budget; the
+  // requested algorithm gets whatever remains and is cut short by the
+  // base-class refusal or a cooperative in-loop poll.  parse_request_header
+  // bounds deadline_ms, so the sum cannot overflow the clock.
   RunContext rc;
   Partition incumbent;
   bool upgrade_async = false;
   try {
     if (h.deadline_ms.has_value()) {
-      rc = RunContext::with_deadline(
-          std::chrono::milliseconds(*h.deadline_ms));
+      rc.deadline = t0 + std::chrono::milliseconds(*h.deadline_ms);
       incumbent = make_partitioner(opt_.incumbent_algo)->run(ls, m);
     }
     r.partition = algo->run(ls, m, rc);

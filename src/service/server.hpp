@@ -9,17 +9,21 @@
 // Three request-level behaviours distinguish it from a batch CLI:
 //
 //  * Instance cache.  Matrices are fingerprinted by content
-//    (service/fingerprint.hpp); resubmissions reuse the cached PrefixSum2D
-//    (and its lazily-built transpose) from the LRU in
-//    service/instance_cache.hpp.  Hits count service_cache_hits.
+//    (service/fingerprint.hpp: a four-lane 64-bit word hash over the dims
+//    and the cells, with a "coo" domain tag ahead of sparse streams);
+//    resubmissions reuse the cached PrefixSum2D (and its lazily-built
+//    transpose) from the LRU in service/instance_cache.hpp, which
+//    cross-checks the dims on every hit.  Hits count service_cache_hits.
 //
 //  * SLO deadlines.  A request with deadline_ms gets a cooperative
-//    per-request deadline (obs/run_context.hpp).  The server first computes
-//    a cheap incumbent answer with the configured fallback heuristic, then
-//    runs the requested algorithm under the remaining budget; if the
-//    deadline fires (refusal at start or a mid-loop poll inside the
-//    engines), the incumbent is returned with "deadline_return": true,
-//    counting service_deadline_returns.  With "upgrade": true the deadline
+//    per-request deadline (obs/run_context.hpp) that, like the reply's
+//    `ms`, runs from receipt: the moment its header has parsed, before the
+//    payload is read.  The server first computes a cheap incumbent answer
+//    with the configured fallback heuristic, then runs the requested
+//    algorithm under the remaining budget; if the deadline fires (refusal
+//    at start or a mid-loop poll inside the engines), the incumbent is
+//    returned with "deadline_return": true, counting
+//    service_deadline_returns.  With "upgrade": true the deadline
 //    answer is marked non-final and the requested algorithm continues
 //    asynchronously on the daemon pool; its answer is pushed on the same
 //    connection as a second, final response.
@@ -106,7 +110,7 @@ struct RequestRecord {
   std::int64_t cells = 0;    ///< rows*cols extent
   bool cache_hit = false;
   bool deadline_return = false;
-  double ms = 0;
+  double ms = 0;             ///< from header parse to reply, payload read in
   std::int64_t lmax = 0;
   double imbalance = 0;
   std::string status = "ok";  ///< "ok" | "error"

@@ -16,6 +16,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -27,6 +28,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/metrics.hpp"
 #include "core/partitioner.hpp"
@@ -87,6 +89,73 @@ TEST(Fingerprint, DenseAndCooHashDomainsAreDisjointForEqualBytes) {
   LoadMatrix a(1, 1);
   a(0, 0) = 7;
   CooInstance coo{1, 1, {{0, 0, 7}}};
+  EXPECT_NE(fingerprint_matrix(a), fingerprint_coo(coo));
+}
+
+/// Flips every bit of `bytes` in turn and checks that `key()` moves each
+/// time, then that the restored payload hashes back to the original key.
+template <typename Key>
+void expect_every_bit_flip_changes_key(unsigned char* bytes, std::size_t n,
+                                       Key key) {
+  const std::uint64_t base = key();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[i] ^= static_cast<unsigned char>(1u << bit);
+      EXPECT_NE(key(), base) << n << "-byte payload, byte " << i << " bit "
+                             << bit;
+      bytes[i] ^= static_cast<unsigned char>(1u << bit);
+    }
+  }
+  EXPECT_EQ(key(), base);
+}
+
+TEST(Fingerprint, EveryBitOfADensePayloadIsPartOfTheKey) {
+  // 1x1 ... 1x9 spans 8 to 72 bytes: below, at and past one and two
+  // 32-byte blocks, so the lane loop and the sub-block tail both see flips.
+  for (int c = 1; c <= 9; ++c) {
+    LoadMatrix a =
+        random_matrix(1, c, 0, 1000, static_cast<std::uint64_t>(c));
+    expect_every_bit_flip_changes_key(
+        reinterpret_cast<unsigned char*>(a.data()),
+        a.size() * sizeof(std::int64_t),
+        [&] { return fingerprint_matrix(a); });
+  }
+}
+
+TEST(Fingerprint, EveryBitOfACooStreamIsPartOfTheKey) {
+  // 1 ... 4 triples span 16 to 64 bytes, either side of the 32-byte block.
+  for (int nnz = 1; nnz <= 4; ++nnz) {
+    CooInstance coo{8, 8, {}};
+    for (int k = 0; k < nnz; ++k)
+      coo.entries.push_back({k, 7 - k, 3 * k + 1});
+    expect_every_bit_flip_changes_key(
+        reinterpret_cast<unsigned char*>(coo.entries.data()),
+        coo.entries.size() * sizeof(CooEntry),
+        [&] { return fingerprint_coo(coo); });
+  }
+}
+
+TEST(Fingerprint, AllZeroMatricesOfEqualSizeAndDifferentShapeDiffer) {
+  // Every shape with r*c = 24 has the same 192 zero bytes of payload; only
+  // the dimensions in the key can tell them apart.
+  std::vector<std::uint64_t> keys;
+  for (int r = 1; r <= 24; ++r)
+    if (24 % r == 0)
+      keys.push_back(fingerprint_matrix(LoadMatrix(r, 24 / r)));
+  ASSERT_EQ(keys.size(), 8u);
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
+}
+
+TEST(Fingerprint, DenseAndTransposedCooOfEqualBytesDiffer) {
+  // A dense 2x4 payload (64 bytes) whose cells are the bytes of a 4x2 COO
+  // stream of four triples: same payload bytes, transposed dims, and only
+  // the domain tag left to separate them.
+  CooInstance coo{4, 2, {{0, 0, 5}, {1, 1, 6}, {2, 0, 7}, {3, 1, 8}}};
+  LoadMatrix a(2, 4);
+  ASSERT_EQ(a.size() * sizeof(std::int64_t),
+            coo.entries.size() * sizeof(CooEntry));
+  std::memcpy(a.data(), coo.entries.data(), a.size() * sizeof(std::int64_t));
   EXPECT_NE(fingerprint_matrix(a), fingerprint_coo(coo));
 }
 
@@ -772,6 +841,45 @@ TEST_F(ServiceTest, DeadlineBeyondTheClockRangeIsAHeaderError) {
   close(fd);
 }
 
+TEST_F(ServiceTest, ReplyTimeAndDeadlineRunFromReceiptOfTheHeader) {
+  // A peer sends its header, stalls, then sends the payload.  The stall is
+  // daemon time: the reply's ms covers it, and a deadline shorter than the
+  // stall has expired before the requested (non-incumbent) engine starts.
+  // The stall exceeds the asserted 50 ms so that the daemon's wake-up on
+  // the header cannot eat into the margin.
+  const auto solve_after_stall = [&](std::optional<std::int64_t> deadline) {
+    const int fd = raw_connect();
+    RequestHeader h;
+    h.op = Op::kSolve;
+    h.algo = "jag-m-opt";
+    h.rows = 8;
+    h.cols = 8;
+    h.m = 4;
+    h.deadline_ms = deadline;
+    const std::string line = serialize_request_header(h) + "\n";
+    EXPECT_TRUE(write_all(fd, line.data(), line.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(75));
+    const LoadMatrix a = random_matrix(8, 8, 0, 9, 3);
+    EXPECT_TRUE(write_all(fd, a.data(), a.size() * sizeof(std::int64_t)));
+    std::string carry, reply, error;
+    Response r;
+    EXPECT_TRUE(read_line(fd, &carry, &reply));
+    EXPECT_TRUE(parse_response(reply, &r, &error)) << error;
+    close(fd);
+    return r;
+  };
+  const Response plain = solve_after_stall(std::nullopt);
+  ASSERT_TRUE(plain.ok) << plain.error;
+  EXPECT_GE(plain.ms, 50.0);
+  EXPECT_FALSE(plain.deadline_return);
+
+  const Response late = solve_after_stall(20);
+  ASSERT_TRUE(late.ok) << late.error;
+  EXPECT_GE(late.ms, 50.0);
+  EXPECT_TRUE(late.deadline_return);
+  EXPECT_EQ(late.algo, "jag-m-heur");  // the incumbent's answer
+}
+
 class TinyLimitServiceTest : public ServiceTest {
  protected:
   void configure(ServerOptions& opt) override {
@@ -997,10 +1105,23 @@ class AccessLogTest : public ServiceTest {
 };
 
 TEST_F(AccessLogTest, WritesOneParseableLinePerRequestIncludingErrors) {
+  // One dense and one COO solve (8x8 and 8x6, told apart by cols), then a
+  // refused one.  Each solve's logged key must be the fingerprint of the
+  // payload that was sent: the daemon keys its cache with the same
+  // function that perfbench times as service.fingerprint_us.
+  const LoadMatrix dense = random_matrix(8, 8, 0, 9, 1);
+  const CooInstance coo{8, 6, {{0, 5, 3}, {7, 0, 4}, {3, 3, 9}}};
+  const auto hex = [](std::uint64_t key) {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(key));
+    return std::string(buf);
+  };
   ServiceClient client = connect();
   SolveOptions opt;
   opt.m = 4;
-  ASSERT_TRUE(client.solve(random_matrix(8, 8, 0, 9, 1), opt).ok);
+  ASSERT_TRUE(client.solve(dense, opt).ok);
+  ASSERT_TRUE(client.solve(coo, opt).ok);
   opt.algo = "no-such-engine";
   EXPECT_FALSE(client.solve(random_matrix(8, 8, 0, 9, 1), opt).ok);
   server_->stop();  // flush + close the log
@@ -1022,14 +1143,18 @@ TEST_F(AccessLogTest, WritesOneParseableLinePerRequestIncludingErrors) {
       ++ok_lines;
       EXPECT_GE(doc->get_double("ms", -1), 0.0);
       EXPECT_GT(doc->get_int("lmax", 0), 0);
+      EXPECT_EQ(doc->get_string("fingerprint", ""),
+                doc->get_int("cols", -1) == 6 ? hex(fingerprint_coo(coo))
+                                              : hex(fingerprint_matrix(dense)))
+          << line;
     } else {
       ++error_lines;
       EXPECT_NE(doc->get_string("error", "").find("no-such-engine"),
                 std::string::npos);
     }
   }
-  EXPECT_EQ(lines, 2);
-  EXPECT_EQ(ok_lines, 1);
+  EXPECT_EQ(lines, 3);
+  EXPECT_EQ(ok_lines, 2);
   EXPECT_EQ(error_lines, 1);
 }
 
