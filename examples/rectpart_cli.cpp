@@ -13,7 +13,7 @@
 // never materialized, so n = 2^20 works in a few hundred MB:
 //   ./rectpart_cli --format=coo --input=web.mtx --m=4096 --algo=jag-pq-heur
 //   ./rectpart_cli --family=powerlaw --n=1048576 --nnz=16777216 --m=4096
-//   ./rectpart_cli --family=powerlaw --n=1048576 --nnz=16777216 \
+//   ./rectpart_cli --family=powerlaw --n=1048576 --nnz=16777216
 //                  --gen-coo=web.rpc   (generate + save, no solve)
 #include <cstdio>
 #include <exception>

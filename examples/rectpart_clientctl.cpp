@@ -1,10 +1,10 @@
 // rectpart_clientctl: command-line client for the partition daemon.
 //
 //   ./rectpart_clientctl --socket=/tmp/rectpart.sock --op=ping
-//   ./rectpart_clientctl --socket=... --op=solve --family=peak --n=256 \
-//                        --m=64 --algo=jag-m-opt --deadline-ms=5 \
+//   ./rectpart_clientctl --socket=... --op=solve --family=peak --n=256
+//                        --m=64 --algo=jag-m-opt --deadline-ms=5
 //                        --upgrade --wait-final
-//   ./rectpart_clientctl --socket=... --op=solve --input=load.bin --m=32 \
+//   ./rectpart_clientctl --socket=... --op=solve --input=load.bin --m=32
 //                        --lineage=sim-a
 //   ./rectpart_clientctl --socket=... --op=counters
 //   ./rectpart_clientctl --socket=... --op=metrics          # Prometheus text

@@ -58,8 +58,12 @@ struct Rect {
   friend bool operator==(const Rect&, const Rect&) = default;
 
   [[nodiscard]] std::string to_string() const {
-    return "[" + std::to_string(x0) + "," + std::to_string(x1) + ")x[" +
-           std::to_string(y0) + "," + std::to_string(y1) + ")";
+    // Appends to one string: `"[" + std::to_string(...)` trips GCC 12's
+    // -Wrestrict false positive wherever this inlines.
+    std::string s = "[";
+    s += std::to_string(x0) + "," + std::to_string(x1) + ")x[";
+    s += std::to_string(y0) + "," + std::to_string(y1) + ")";
+    return s;
   }
 };
 

@@ -11,7 +11,9 @@
 //  * P x Q-way: a greedy maximal-stripe sweep decides whether the rows can be
 //    covered by at most P stripes whose columns each split into at most Q
 //    intervals of load <= B.  Maximal stripes dominate (shrinking a stripe
-//    only lowers its column loads), so the greedy is exact.
+//    only lowers its column loads), so the greedy is exact.  Each stripe end
+//    is monotone in B, so a sweep searches it only between the ends that
+//    the sweeps at its bracket's two ends reached (pq_feasible).
 //
 //  * m-way: a suffix dynamic program computes f(s) = the minimum number of
 //    processors that can cover rows [s, n) with per-rectangle load <= B.
@@ -47,12 +49,17 @@ namespace {
 /// orientation's optimum lies in [lo, hi], and hi is known feasible.  When
 /// `has_witness` is set, `witness` was filled by a successful probe at hi;
 /// otherwise hi is still the heuristic's bound, which no probe filled.
+/// When `has_below` is set, `below` holds what the failing probe at lo - 1
+/// wrote (the P x Q sweep records the stripe ends it reached; the m-way
+/// probe writes nothing); otherwise lo is still the lower bound.
 template <typename W>
 struct Bracket {
   std::int64_t lo = 0;
   std::int64_t hi = 0;
   W witness{};
   bool has_witness = false;
+  W below{};
+  bool has_below = false;
 };
 
 /// Where a joint search closed: the smallest budget feasible for any of the
@@ -68,16 +75,22 @@ constexpr int kMaxLanes = 8;
 
 /// Smallest budget B* feasible for any orientation in `br` — one bracket,
 /// or HOR then VER under kBest — over per-orientation antitone predicates:
-/// feasible(lane, s, b, w) must fill *w exactly when orientation s is
-/// feasible at b; `lane` is the candidate's index in its round (below
-/// kMaxLanes), so no two concurrent calls share one.  The orientations share
-/// one bracket [L, U], L the smallest lo and U the smallest hi; the leader
-/// is the orientation holding U (the first on ties).  Each round picks candidates inside [L, U) — the midpoint with one
-/// lane, `lanes` evenly spaced points otherwise — and each candidate's lane
-/// probes the leader, then the other orientation if the leader failed and
-/// the other's status there is still unknown (lo <= candidate).  With
-/// `incumbent_check` a first round probes U - 1 alone: a heuristic bound
-/// that is already optimal then costs one infeasible probe per orientation.
+/// feasible(lane, s, b, at, w) must return whether orientation s is
+/// feasible at b, filling *w with its witness when it is; it may also fill
+/// *w when it is not, and that trace becomes `below` if the failure raises
+/// lo.  `at` is s's bracket as it stood at the start of the round, so a
+/// probe may read the witness at hi and the trace at lo - 1 as bounds;
+/// `lane` is the candidate's index in its round (below kMaxLanes), so no
+/// two concurrent calls share one.  The orientations share one bracket
+/// [L, U], L the smallest lo and U the smallest hi; the leader is the
+/// orientation holding U (the first on ties).  Each round picks candidates
+/// inside [L, U) — the midpoint with one lane, `lanes` evenly spaced points
+/// otherwise — and each candidate's lane probes the leader, then the other
+/// orientation if the leader failed and the other's status there is still
+/// unknown (lo <= candidate).  The round's outcomes are merged in candidate
+/// order.  With `incumbent_check` a first round probes U - 1 alone: a
+/// heuristic bound that is already optimal then costs one infeasible probe
+/// per orientation.
 ///
 /// Ties go to the first orientation: when the search closes on another one
 /// and the first's status at B* is unknown, it is probed there.  The winner
@@ -85,8 +98,8 @@ constexpr int kMaxLanes = 8;
 /// if both optima had been searched to the end and compared.  Every probe
 /// decides one orientation at one budget, and a witness is a pure function
 /// of both, so B*, the winner and the winner's partition are thread-count
-/// independent; the probes issued (and whether the winner's witness was
-/// retained) depend on the lane count only.
+/// independent; the probes issued, the bounds they read (and whether the
+/// winner's witness was retained) depend on the lane count only.
 template <typename W, typename Pred>
 JointResult min_feasible_joint(std::vector<Bracket<W>>& br,
                                bool incumbent_check, const Pred& feasible) {
@@ -103,25 +116,36 @@ JointResult min_feasible_joint(std::vector<Bracket<W>>& br,
     const int first = leader();
     std::vector<int> won(cand.size(), -1);           // orientation feasible
     std::vector<unsigned char> failed(cand.size());  // bit s: s infeasible
-    std::vector<W> bufs(cand.size());
+    std::vector<W> bufs(cand.size() * sides);  // candidate i, side s
+    const auto buf = [&](std::size_t i, int s) -> W& {
+      return bufs[i * sides + s];
+    };
+    // The lanes only read br; it changes in the merge below.
     parallel_for(cand.size(), [&](std::size_t i) {
       for (int k = 0; k < sides; ++k) {
         const int s = (first + k) % sides;
         if (br[s].lo > cand[i]) continue;  // known infeasible here
-        if (feasible(static_cast<int>(i), s, cand[i], &bufs[i])) {
+        if (feasible(static_cast<int>(i), s, cand[i], br[s], &buf(i, s))) {
           won[i] = s;
           return;
         }
         failed[i] |= static_cast<unsigned char>(1u << s);
       }
     });
+    // Candidates increase, so every failure raises its lo and the first
+    // success of an orientation lowers its hi.
     for (std::size_t i = 0; i < cand.size(); ++i) {
-      for (int s = 0; s < sides; ++s)
-        if (failed[i] & (1u << s)) br[s].lo = std::max(br[s].lo, cand[i] + 1);
+      for (int s = 0; s < sides; ++s) {
+        if (!(failed[i] & (1u << s))) continue;
+        assert(cand[i] >= br[s].lo);
+        br[s].lo = cand[i] + 1;
+        std::swap(br[s].below, buf(i, s));
+        br[s].has_below = true;
+      }
       const int s = won[i];
       if (s >= 0 && cand[i] < br[s].hi) {
         br[s].hi = cand[i];
-        std::swap(br[s].witness, bufs[i]);
+        std::swap(br[s].witness, buf(i, s));
         br[s].has_witness = true;
       }
     }
@@ -150,7 +174,7 @@ JointResult min_feasible_joint(std::vector<Bracket<W>>& br,
   JointResult r{br[leader()].hi, leader()};
   if (r.winner != 0 && br[0].lo <= r.best) {
     W w{};
-    if (feasible(0, 0, r.best, &w)) {
+    if (feasible(0, 0, r.best, br[0], &w)) {
       br[0].hi = r.best;
       br[0].witness = std::move(w);
       br[0].has_witness = true;
@@ -250,24 +274,23 @@ std::optional<int> stripe_parts(const LoadSubstrate& ps, int a, int b,
   return oned::min_parts_within(o, 0, ps.cols(), B, cap);
 }
 
-/// Largest e in [a+1, n1] such that stripe [a, e) needs at most `cap` column
-/// intervals of load <= B; requires the single row [a, a+1) to qualify.
-/// Galloping search on the antitone predicate.
+/// Largest e in [good, bad) such that stripe [a, e) needs at most `cap`
+/// column intervals of load <= B, given that [a, good) qualifies (a < good)
+/// and, when bad <= n1, that [a, bad) does not: the predicate is antitone in
+/// e.  With `gallop` (bad = n1 + 1, no upper bound known) the step from
+/// good doubles until it fails, which is cheap when the end lies near good;
+/// the bracket it leaves, or [good, bad) as given, is then bisected.  A
+/// one-row window [good, good + 1) issues no probe.
 int max_stripe_end(const LoadSubstrate& ps, int a, std::int64_t B, int cap,
-                   GammaRowStore& rows) {
-  const int n1 = ps.rows();
-  int good = a + 1;  // caller guarantees the single row qualifies
-  int step = 1;
-  int bad = n1 + 1;
-  while (good + step <= n1) {
+                   GammaRowStore& rows, int good, int bad, bool gallop) {
+  assert(a < good && good < bad && bad <= ps.rows() + 1);
+  for (int step = 1; gallop && good + step < bad; step *= 2) {
     const int probe = good + step;
-    if (stripe_parts(ps, a, probe, B, cap, rows).has_value()) {
-      good = probe;
-      step *= 2;
-    } else {
+    if (!stripe_parts(ps, a, probe, B, cap, rows).has_value()) {
       bad = probe;
       break;
     }
+    good = probe;
   }
   while (good + 1 < bad) {
     const int mid = good + (bad - good) / 2;
@@ -281,29 +304,43 @@ int max_stripe_end(const LoadSubstrate& ps, int a, std::int64_t B, int cap,
 
 // ---------------------------------------------------------------- P x Q-way
 
-/// Greedy feasibility for P x Q-way jagged with bottleneck B.  On success and
-/// when `out` is non-null, writes the stripe boundaries (padded to P stripes).
+/// Greedy feasibility for P x Q-way jagged with bottleneck B: each stripe
+/// in turn is the maximal one from the previous stripe's end.  Writes the
+/// stripe ends it reached to `out` as [0, e_0, e_1, ...]: on success padded
+/// to P stripes with n1, on failure (P stripes used, or a single row
+/// needing more than q parts) the ends of the stripes it completed.
+///
+/// `below` and `above` are such records from probes at budgets under and
+/// over B, or null.  The greedy end e_k is monotone in B — max_stripe_end
+/// is monotone in its start row and in B, and the start of stripe k is
+/// e_{k-1} — so stripe k's end lies in [below_k, above_k] and the search
+/// for it starts from that window: it gallops only when there is no
+/// `above`, skips the single-row check once below_k is past the stripe's
+/// start (the row lies inside a stripe that qualified at a lower budget),
+/// and probes nothing when the window is one row.  The ends found are the
+/// unbounded sweep's, whatever the bounds.
 bool pq_feasible(const LoadSubstrate& ps, int p, int q, std::int64_t B,
+                 const oned::Cuts* below, const oned::Cuts* above,
                  oned::Cuts* out, const RunContext* ctx, GammaRowStore& rows) {
   const int n1 = ps.rows();
-  // Reused across the bisection's many probes; safe because nothing in the
-  // sweep re-enters the execution layer on this thread.
-  thread_local std::vector<int> ends;
-  ends.clear();
+  std::vector<int>& ends = out->pos;
+  ends.assign(1, 0);
   int a = 0;
   while (a < n1) {
     poll_deadline(ctx, "jag-pq-opt feasibility sweep");
-    if (static_cast<int>(ends.size()) == p) return false;
-    if (!stripe_parts(ps, a, a + 1, B, q, rows).has_value()) return false;
-    a = max_stripe_end(ps, a, B, q, rows);
+    const int k = static_cast<int>(ends.size()) - 1;  // the stripe to place
+    if (k == p) return false;
+    const int floor = below && k + 1 < static_cast<int>(below->pos.size())
+                          ? below->pos[k + 1]
+                          : a;
+    if (floor <= a && !stripe_parts(ps, a, a + 1, B, q, rows).has_value())
+      return false;
+    const int bad = above ? above->pos[k + 1] + 1 : n1 + 1;
+    a = max_stripe_end(ps, a, B, q, rows, std::max(a + 1, floor), bad,
+                       above == nullptr);
     ends.push_back(a);
   }
-  if (out) {
-    out->pos.clear();
-    out->pos.push_back(0);
-    out->pos.insert(out->pos.end(), ends.begin(), ends.end());
-    while (static_cast<int>(out->pos.size()) < p + 1) out->pos.push_back(n1);
-  }
+  ends.resize(p + 1, n1);
   return true;
 }
 
@@ -348,7 +385,8 @@ struct MWayProbe {
       if (c_min.has_value()) {
         int c = *c_min;
         while (c < best && c <= m) {
-          const int e = max_stripe_end(ps, s, B, c, rows);
+          const int e = max_stripe_end(ps, s, B, c, rows, s + 1, n1 + 1,
+                                       /*gallop=*/true);
           const int cand = (f[e] >= inf) ? inf
                                          : std::min(inf, c + f[e]);
           if (cand < best) {
@@ -441,21 +479,27 @@ Partition jag_pq_opt(const LoadSubstrate& ps, int m, const JaggedOptions& opt) {
   // case in one infeasible probe per orientation.  The CSR probes read Γ rows
   // through one store per lane, kept for the whole solve: no Γ row depends
   // on the candidate B, so every round reads the rows earlier ones built.
+  // Each sweep reads its stripe ends' bounds from the sweeps at the
+  // bracket's ends: the failing one at lo - 1 and the witness at hi.
   std::vector<GammaRowStore> rows(kMaxLanes);
-  const JointResult r = min_feasible_joint(
-      br, /*incumbent_check=*/true,
-      [&](int lane, int side, std::int64_t b, oned::Cuts* w) {
-        return pq_feasible(o[side].probe, p, q, b, w, opt.ctx, rows[lane]);
-      });
+  const auto probe = [&](int lane, int side, std::int64_t b,
+                         const Bracket<oned::Cuts>& at, oned::Cuts* w) {
+    return pq_feasible(o[side].probe, p, q, b,
+                       at.has_below ? &at.below : nullptr,
+                       at.has_witness ? &at.witness : nullptr, w, opt.ctx,
+                       rows[lane]);
+  };
+  const JointResult r =
+      min_feasible_joint(br, /*incumbent_check=*/true, probe);
   const Oriented& win = o[r.winner];
-  oned::Cuts& row_cuts = br[r.winner].witness;
-  if (br[r.winner].has_witness) {
+  Bracket<oned::Cuts>& wb = br[r.winner];
+  if (wb.has_witness) {
     RECTPART_COUNT(kWitnessReprobesAvoided, 1);
-  } else if (!pq_feasible(win.probe, p, q, r.best, &row_cuts, opt.ctx,
-                          rows[0])) {
+  } else if (!probe(0, r.winner, r.best, wb, &wb.witness)) {
     throw std::logic_error("jag_pq_opt: optimum not feasible (bug)");
   }
 
+  const oned::Cuts& row_cuts = wb.witness;
   std::vector<StripeTask> tasks(p);
   for (int s = 0; s < p; ++s)
     tasks[s] = {row_cuts.begin_of(s), row_cuts.end_of(s), q};
@@ -485,6 +529,7 @@ Partition jag_m_opt(const LoadSubstrate& ps, int m, const JaggedOptions& opt) {
   const JointResult r = min_feasible_joint(
       br, /*incumbent_check=*/false,
       [&](int lane, int side, std::int64_t b,
+          const Bracket<std::unique_ptr<MWayProbe>>&,
           std::unique_ptr<MWayProbe>* out) {
         auto candidate =
             std::make_unique<MWayProbe>(o[side].probe, m, b, opt.ctx);

@@ -341,13 +341,18 @@ TEST(JagOpt, OptBeatsOrMatchesHeurOnPaperFamilies) {
   }
 }
 
+/// How much of counter `c` `run` adds.
+template <typename F>
+std::uint64_t counted(obs::Counter c, F&& run) {
+  const obs::CounterSnapshot before = obs::counters_snapshot();
+  run();
+  return obs::counters_snapshot().delta_since(before)[c];
+}
+
 /// Materialized dense transposes installed while `run` executes.
 template <typename F>
 std::uint64_t dense_transpose_builds(F&& run) {
-  const obs::CounterSnapshot before = obs::counters_snapshot();
-  run();
-  return obs::counters_snapshot().delta_since(
-      before)[obs::Counter::kDenseTransposeBuilds];
+  return counted(obs::Counter::kDenseTransposeBuilds, run);
 }
 
 TEST(DenseTransposeBuilds, BestHeuristicsRunOnTheSwappedViewWithoutACopy) {
@@ -399,6 +404,120 @@ TEST(JagOptConcurrency, BestOnANewDenseInstanceSharesOneTransposeAcrossLanes) {
     EXPECT_EQ(parallel.rects, serial.rects);
   }
   set_threads(width);
+}
+
+/// One instance for the bounded P x Q feasibility sweep: every probe reads
+/// its stripe ends' bounds from the sweeps at its bracket's ends.
+struct SweepCase {
+  std::string name;
+  LoadMatrix a;
+  int m;
+  int stripes;  // 0: choose_grid's
+};
+
+std::vector<SweepCase> sweep_cases() {
+  std::vector<SweepCase> cases;
+  // Multi-peak: the failing sweeps run out of their P stripes, so the trace
+  // at lo - 1 bounds every stripe from below; with the witness at hi many
+  // stripe windows shrink to one row.
+  cases.push_back(
+      {"out-of-stripes", make_synthetic("multipeak", 60, 50, 3), 24, 4});
+  // Row 11 holds four cells of 120, every third column, so with q = 3 it
+  // alone needs 240.  The sweeps just below the optimum fail at the start
+  // of the stripe that begins at row 11: the trace at lo - 1 ends there,
+  // and the stripes past it have a witness bound only.
+  LoadMatrix heavy_row = random_matrix(24, 12, 0, 9, 200);
+  for (int y = 0; y < 12; y += 3) heavy_row(11, y) = 120;
+  cases.push_back({"single-row-failure", heavy_row, 12, 4});
+  // All ones, 10 x 10, m = 9: the heuristic's 16 is optimal and above the
+  // lower bound 12, so the incumbent check fails at 15, the search closes
+  // at hi without a witness, and the partition comes from a sweep bounded
+  // by the trace at 15 alone.
+  cases.push_back({"no-witness", LoadMatrix(10, 10, 1), 9, 0});
+  cases.push_back({"P=1", random_matrix(17, 13, 0, 9, 93), 5, 1});
+  cases.push_back({"Q=1", random_matrix(17, 13, 0, 9, 94), 6, 6});
+  cases.push_back({"P=Q=1", random_matrix(9, 11, 0, 9, 95), 1, 0});
+  // More stripes than rows (and than columns): the sweeps pad with empty
+  // stripes, and so do the bounds they leave.
+  cases.push_back({"n1<P", random_matrix(3, 4, 0, 9, 96), 12, 6});
+  return cases;
+}
+
+/// jag-pq-opt on `dense`, its CSR twin and, through `orient`, the swapped
+/// -VER view or both: the optimum is `want_lmax`, and every substrate and
+/// thread count returns the 1-thread dense partition rect for rect, which
+/// is returned.
+Partition expect_bounded_sweep_exact(const std::string& name,
+                                     const LoadMatrix& a, int m, int stripes,
+                                     std::int64_t want_lmax,
+                                     Orientation orient) {
+  const PrefixSum2D dense(a);
+  const SparseLoadCSR csr = SparseLoadCSR::from_dense(a);
+  JaggedOptions opt;
+  opt.orientation = orient;
+  opt.stripes = stripes;
+  const int width = num_threads();
+  set_threads(1);
+  const Partition want = jag_pq_opt(dense, m, opt);
+  EXPECT_EQ(want.max_load(dense), want_lmax)
+      << name << " orientation " << static_cast<int>(orient);
+  for (const int threads : {1, 2, 4, 8}) {
+    set_threads(threads);
+    for (const LoadSubstrate ls : {LoadSubstrate(dense), LoadSubstrate(csr)}) {
+      EXPECT_EQ(jag_pq_opt(ls, m, opt).rects, want.rects)
+          << name << " orientation " << static_cast<int>(orient) << " on "
+          << ls.kind() << " (threads=" << threads << ")";
+    }
+  }
+  set_threads(width);
+  return want;
+}
+
+/// The optimum of each orientation is the paper's DP's, under each of HOR,
+/// VER and BEST expect_bounded_sweep_exact holds, and BEST returns HOR's
+/// partition on ties and VER's otherwise.
+void expect_sweep_case_exact(const SweepCase& c) {
+  JaggedOptions opt;
+  opt.stripes = c.stripes;
+  opt.orientation = Orientation::kHorizontal;
+  const PrefixSum2D ps(c.a);
+  const std::int64_t h = jag_pq_opt_dp(ps, c.m, opt).max_load(ps);
+  opt.orientation = Orientation::kVertical;
+  const std::int64_t v = jag_pq_opt_dp(ps, c.m, opt).max_load(ps);
+  const Partition hp = expect_bounded_sweep_exact(c.name, c.a, c.m, c.stripes,
+                                                  h, Orientation::kHorizontal);
+  const Partition vp = expect_bounded_sweep_exact(c.name, c.a, c.m, c.stripes,
+                                                  v, Orientation::kVertical);
+  const Partition bp = expect_bounded_sweep_exact(
+      c.name, c.a, c.m, c.stripes, std::min(h, v), Orientation::kBest);
+  EXPECT_EQ(bp.rects, (h <= v ? hp : vp).rects) << c.name;
+}
+
+// The bounded sweep finds the unbounded one's stripe ends whatever the
+// bounds it reads, so the optimum is the paper's DP's in each orientation,
+// and the partition does not depend on the substrate or on the lane count
+// (which decides the budgets probed, hence the bounds).
+TEST(JagPqOptBoundedSweep, EveryEdgeMatchesThePaperDp) {
+  for (const SweepCase& c : sweep_cases()) expect_sweep_case_exact(c);
+}
+
+TEST(JagPqOptBoundedSweep, NoWitnessCaseClosesOnTheHeuristicBound) {
+  if (!RECTPART_OBS_ENABLED) GTEST_SKIP() << "counters compiled out";
+  const PrefixSum2D ps(LoadMatrix(10, 10, 1));
+  ASSERT_LT(lower_bound_lmax(ps, 9), 16);
+  ASSERT_EQ(jag_pq_heur(ps, 9, hor()).max_load(ps), 16);
+  Partition part;
+  EXPECT_EQ(counted(obs::Counter::kWitnessReprobesAvoided,
+                    [&] { part = jag_pq_opt(ps, 9, hor()); }),
+            0u);
+  EXPECT_EQ(part.max_load(ps), 16);
+}
+
+// The drift-dense benchmark's largest class: P = 48 stripes of 48 parts on
+// a 512 x 512 PIC-MAG snapshot.
+TEST(JagPqOptBoundedSweep, PicMagAtM2304MatchesThePaperDp) {
+  PicMagSimulator sim;
+  expect_sweep_case_exact({"picmag", sim.snapshot_at(20000), 2304, 0});
 }
 
 }  // namespace
