@@ -62,8 +62,9 @@ int main(int argc, char** argv) {
         for (const auto& [n, m] : combos) {
           const auto prefix = make_prefix(n, seed);
           const oned::PrefixOracle o(prefix);
-          const std::string instance =
-              "n" + std::to_string(n) + "-s" + std::to_string(seed);
+          // Appended: `"n" + std::to_string(...)` trips GCC 12's -Wrestrict.
+          std::string instance = "n";
+          instance += std::to_string(n) + "-s" + std::to_string(seed);
           oned::ProbeScratch scratch;
           std::vector<double> samples;
           samples.reserve(static_cast<std::size_t>(reps));

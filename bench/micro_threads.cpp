@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
 
   bench::BenchJson json("micro_threads");
   std::vector<std::string> cols{"workload"};
-  for (const int t : widths) cols.emplace_back("t" + std::to_string(t));
+  // Appended: `"t" + std::to_string(t)` trips GCC 12's -Wrestrict.
+  for (const int t : widths) cols.emplace_back("t").append(std::to_string(t));
   cols.emplace_back("speedup");
   Table table(cols);
 

@@ -14,7 +14,7 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$root"
 
 echo "== tier-1: build =="
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DRECTPART_WERROR=ON >/dev/null
 cmake --build build -j "$jobs"
 
 echo "== tier-1: ctest =="

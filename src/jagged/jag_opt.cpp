@@ -17,10 +17,11 @@
 //
 //  * m-way: a suffix dynamic program computes f(s) = the minimum number of
 //    processors that can cover rows [s, n) with per-rectangle load <= B.
-//    Feasible iff f(0) <= m.  The candidate stripe ends for a state are
-//    pruned to the Pareto frontier: only the maximal stripe end per distinct
-//    processor count matters, and the walk jumps between strict-decrease
-//    points of f, so each state inspects few candidates.
+//    Feasible iff f(0) <= m.  f is non-increasing, so a state only needs
+//    the stripe ends where f drops: it walks that chain with one probe per
+//    point, and jumps over a run of points needing the same processor
+//    count to the run's maximal end, bounded by the end a later state
+//    found for that count (MWayProbe).
 //
 // The paper's original dynamic programs are implemented in jag_opt_dp.cpp
 // and cross-checked against these engines in the test suite.
@@ -28,6 +29,7 @@
 #include <cassert>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -302,6 +304,23 @@ int max_stripe_end(const LoadSubstrate& ps, int a, std::int64_t B, int cap,
   return good;
 }
 
+/// max_stripe_end's e when it is expected near the top of [good, bad): it
+/// probes bad - 1, bad - 2, bad - 4, ... until one qualifies, and bisects
+/// the bracket that leaves.  bad - 1 qualifying costs one probe.
+int max_stripe_end_below(const LoadSubstrate& ps, int a, std::int64_t B,
+                         int cap, GammaRowStore& rows, int good, int bad) {
+  const int top = bad;
+  for (int step = 1; top - step > good; step *= 2) {
+    const int probe = top - step;
+    if (stripe_parts(ps, a, probe, B, cap, rows).has_value()) {
+      good = probe;
+      break;
+    }
+    bad = probe;
+  }
+  return max_stripe_end(ps, a, B, cap, rows, good, bad, /*gallop=*/false);
+}
+
 // ---------------------------------------------------------------- P x Q-way
 
 /// Greedy feasibility for P x Q-way jagged with bottleneck B: each stripe
@@ -347,8 +366,26 @@ bool pq_feasible(const LoadSubstrate& ps, int p, int q, std::int64_t B,
 // ------------------------------------------------------------------- m-way
 
 /// Suffix DP for m-way feasibility.  f[s] = minimum processors covering rows
-/// [s, n1), saturated at m+1.  When `choice_*` are non-null the minimizing
-/// stripe end / processor count per state is recorded for extraction.
+/// [s, n1), saturated at m+1; choice_c[s] is the processor count of the
+/// first stripe of a cover realizing f[s] — the smallest such count — and
+/// choice_e[s] an end of such a stripe (not necessarily the maximal one,
+/// which m_opt_extract recovers).
+///
+/// With parts(s, e) the fewest column intervals of load <= B covering
+/// stripe [s, e), non-decreasing in e, and f non-increasing and constant on
+/// [d, next_drop[d]), f(s) = min parts(s, d) + f[d] over the chain
+/// d = s+1, next_drop[s+1], ... up to n1: any other end has a chain point
+/// at or before it with the same f and no more parts.  The walk probes each
+/// chain point once and stops once parts(s, d) reaches the best so far or
+/// exceeds m.  When two consecutive chain points need the same count c,
+/// every chain point up to the maximal end e(s, c) does too and the last
+/// is the best of them, so the walk jumps to e(s, c) and resumes at
+/// next_drop[e(s, c)].  A larger s' only shrinks the stripe, so
+/// e(s, c) <= e(s', c) for s < s': last_end[c], the end the latest jump for
+/// c found, bounds the search from above; it is probed first, and the
+/// search steps back from it (max_stripe_end_below).  Chain points come in
+/// increasing order, hence counts too, and a strictly smaller value is
+/// needed to replace the best: choice_c[s] is the smallest minimizing c.
 struct MWayProbe {
   const LoadSubstrate ps;
   int m;
@@ -357,7 +394,7 @@ struct MWayProbe {
 
   std::vector<int> f;          // f[s], saturated at m+1
   std::vector<int> next_drop;  // first index > s with f strictly smaller
-  std::vector<int> choice_e;   // stripe end realizing f[s]
+  std::vector<int> choice_e;   // an end of the stripe realizing f[s]
   std::vector<int> choice_c;   // processor count of that stripe
 
   explicit MWayProbe(const LoadSubstrate& p, int m_, std::int64_t b,
@@ -372,6 +409,7 @@ struct MWayProbe {
     next_drop.assign(n1 + 2, n1 + 1);
     choice_e.assign(n1 + 1, n1);
     choice_c.assign(n1 + 1, 0);
+    std::vector<int> last_end(m + 1, n1);  // last_end[c] >= e(s, c)
     f[n1] = 0;
     next_drop[n1] = n1 + 1;
 
@@ -380,31 +418,36 @@ struct MWayProbe {
       // frequent enough to bound SLO overshoot to a few states' work.
       if ((s & 63) == 0) poll_deadline(ctx, "jag-m-opt suffix DP");
       int best = inf, best_e = n1, best_c = 0;
-      // Minimal processor count for any stripe starting at s: the single row.
-      const auto c_min = stripe_parts(ps, s, s + 1, B, m, rows);
-      if (c_min.has_value()) {
-        int c = *c_min;
-        while (c < best && c <= m) {
-          const int e = max_stripe_end(ps, s, B, c, rows, s + 1, n1 + 1,
-                                       /*gallop=*/true);
-          const int cand = (f[e] >= inf) ? inf
-                                         : std::min(inf, c + f[e]);
-          if (cand < best) {
-            best = cand;
-            best_e = e;
-            best_c = c;
-          }
-          if (e >= n1) break;  // a larger stripe cannot shrink below c
-          // Next useful candidate: the stripe must reach past the first
-          // strict decrease of f beyond e (any shorter extension raises the
-          // processor count without lowering the tail cost); that is
-          // precisely next_drop[e].
-          const int ed = next_drop[e];
-          if (ed > n1) break;
-          const auto c_next = stripe_parts(ps, s, ed, B, m, rows);
-          if (!c_next.has_value()) break;  // needs more than m parts
-          c = *c_next;
+      const auto consider = [&](int c, int e) {
+        const int cand = f[e] >= inf ? inf : std::min(inf, c + f[e]);
+        if (cand < best) {
+          best = cand;
+          best_e = e;
+          best_c = c;
         }
+      };
+      // A count of best or more cannot win, so the probes stop there.
+      const auto parts = [&](int e) {
+        return stripe_parts(ps, s, e, B, std::min(m, best - 1), rows);
+      };
+      int d = s + 1;
+      std::optional<int> c = parts(d);
+      while (c.has_value()) {
+        consider(*c, d);
+        d = next_drop[d];
+        if (d > n1) break;
+        std::optional<int> next = parts(d);
+        if (next == c) {
+          // Jump to e(s, c), which lies in [d, last_end[c]].
+          int& e = last_end[*c];
+          assert(e >= d);
+          e = max_stripe_end_below(ps, s, B, *c, rows, d, e + 1);
+          consider(*c, e);
+          d = next_drop[e];
+          if (d > n1) break;
+          next = parts(d);
+        }
+        c = next;
       }
       f[s] = best;
       choice_e[s] = best_e;
@@ -420,9 +463,10 @@ struct MWayProbe {
 
 /// Extracts the partition of `win` from a feasible probe at B.  `witness`
 /// is a probe whose DP already ran at exactly B (retained from the
-/// parametric search); when absent the DP is re-run on `rows`.  The walk
-/// over choice_e/choice_c is a pure function of B either way, so both paths
-/// yield the same partition.
+/// parametric search); when absent the DP is re-run on `rows`.  Each stripe
+/// on the chosen path ends at the maximal end for its count, searched from
+/// the end the DP recorded.  The walk is a pure function of B either way,
+/// so both paths yield the same partition.
 Partition m_opt_extract(const Oriented& win, int m, std::int64_t B,
                         const MWayProbe* witness, const RunContext* ctx,
                         GammaRowStore& rows) {
@@ -442,8 +486,9 @@ Partition m_opt_extract(const Oriented& win, int m, std::int64_t B,
   int s = 0;
   const int n1 = win.view.rows();
   while (s < n1) {
-    const int e = witness->choice_e[s];
     const int c = witness->choice_c[s];
+    const int e = max_stripe_end(win.probe, s, B, c, rows, witness->choice_e[s],
+                                 n1 + 1, /*gallop=*/true);
     row_cuts.pos.push_back(e);
     tasks.push_back({s, e, c});
     s = e;

@@ -43,9 +43,13 @@ struct Box {
   friend bool operator==(const Box&, const Box&) = default;
 
   [[nodiscard]] std::string to_string() const {
-    return "[" + std::to_string(x0) + "," + std::to_string(x1) + ")x[" +
-           std::to_string(y0) + "," + std::to_string(y1) + ")x[" +
-           std::to_string(z0) + "," + std::to_string(z1) + ")";
+    // Appends to one string, as Rect::to_string does: `"[" +
+    // std::to_string(...)` trips GCC 12's -Wrestrict false positive.
+    std::string s = "[";
+    s += std::to_string(x0) + "," + std::to_string(x1) + ")x[";
+    s += std::to_string(y0) + "," + std::to_string(y1) + ")x[";
+    s += std::to_string(z0) + "," + std::to_string(z1) + ")";
+    return s;
   }
 };
 

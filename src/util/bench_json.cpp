@@ -141,7 +141,9 @@ std::string BenchJson::render() const {
     const auto c = static_cast<obs::Counter>(i);
     if (obs::counter_scheduling_dependent(c)) continue;
     if (!first) out += ", ";
-    out += "\"" + std::string(obs::counter_name(c)) + "\"";
+    out += '"';
+    out += obs::counter_name(c);
+    out += '"';
     first = false;
   }
   out += "]\n";

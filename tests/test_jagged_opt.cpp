@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -518,6 +520,177 @@ TEST(JagPqOptBoundedSweep, NoWitnessCaseClosesOnTheHeuristicBound) {
 TEST(JagPqOptBoundedSweep, PicMagAtM2304MatchesThePaperDp) {
   PicMagSimulator sim;
   expect_sweep_case_exact({"picmag", sim.snapshot_at(20000), 2304, 0});
+}
+
+// ------------------------------------------- JAG-M-OPT's drop-chain walk
+
+/// One instance for the m-way DP's walk along the drop chain of f.
+struct DropWalkCase {
+  std::string name;
+  LoadMatrix a;
+  int m;
+};
+
+std::vector<DropWalkCase> drop_walk_cases() {
+  std::vector<DropWalkCase> cases;
+  // All ones, 8 x 48, m = 12 >= n1: nearly every row is a drop point of f
+  // and consecutive ones need the same part count, so the walk jumps.
+  cases.push_back({"wide-uniform", LoadMatrix(8, 48, 1), 12});
+  // A heavy row above light ones: the states below it record their ends
+  // in last_end, and once the stripe takes in row 6 the probe at last_end
+  // fails and the end is bisected below it.
+  LoadMatrix heavy = random_matrix(18, 20, 0, 4, 501);
+  for (int y = 0; y < 20; ++y) heavy(6, y) = 30;
+  cases.push_back({"heavy-row-under-light", heavy, 10});
+  // Row 4 holds sixteen cells of 100: the lower bound is about 350, and
+  // every budget below 400 needs more than m = 5 parts for that row alone,
+  // so f is infinite at its state in the search's failing probes.
+  LoadMatrix row_over_m = random_matrix(10, 16, 0, 2, 502);
+  for (int y = 0; y < 16; ++y) row_over_m(4, y) = 100;
+  cases.push_back({"row-over-m", row_over_m, 5});
+  // Light rows: one or two stripes cover everything, so the walk reaches
+  // the end of the chain at n1.
+  cases.push_back({"chain-to-n1", random_matrix(14, 12, 0, 3, 503), 3});
+  cases.push_back({"m=1", random_matrix(9, 11, 0, 9, 504), 1});
+  cases.push_back({"n1=1", random_matrix(1, 23, 0, 9, 505), 5});
+  cases.push_back({"n1<m", random_matrix(3, 10, 0, 9, 506), 8});
+  return cases;
+}
+
+/// The stripes of an m-way jagged partition along its stripe axis (rows,
+/// or columns when `transposed`): [begin, end) and the rectangles in each.
+std::vector<std::tuple<int, int, int>> stripes_of(const Partition& p,
+                                                  bool transposed) {
+  std::vector<std::tuple<int, int, int>> out;
+  for (const Rect& r : p.rects) {
+    const int a = transposed ? r.y0 : r.x0;
+    const int b = transposed ? r.y1 : r.x1;
+    if (a >= b) continue;  // padding
+    if (!out.empty() && std::get<0>(out.back()) == a &&
+        std::get<1>(out.back()) == b) {
+      ++std::get<2>(out.back());
+    } else {
+      out.emplace_back(a, b, 1);
+    }
+  }
+  return out;
+}
+
+/// The stripes JAG-M-OPT's documented choice yields at budget B, by brute
+/// force over every stripe end: f(s) = min parts(s, e) + f(e), the first
+/// stripe takes the smallest minimizing part count c and runs to the
+/// maximal end that c parts can cover.
+std::vector<std::tuple<int, int, int>> reference_stripes(const LoadMatrix& a,
+                                                         std::int64_t B) {
+  const PrefixSum2D ps(a);
+  const int n1 = a.rows();
+  const int n2 = a.cols();
+  constexpr int kInf = std::numeric_limits<int>::max() / 2;
+  const auto parts = [&](int s, int e) {
+    int k = 0;
+    for (int y = 0; y < n2; ++k) {
+      if (ps.load(s, e, y, y + 1) > B) return kInf;
+      int z = y + 1;
+      while (z < n2 && ps.load(s, e, y, z + 1) <= B) ++z;
+      y = z;
+    }
+    return k;
+  };
+  std::vector<int> f(n1 + 1, kInf), choice_c(n1 + 1, 0), choice_e(n1 + 1);
+  f[n1] = 0;
+  for (int s = n1 - 1; s >= 0; --s) {
+    for (int e = s + 1; e <= n1; ++e) {
+      const int c = parts(s, e);
+      if (c >= kInf || f[e] >= kInf) continue;
+      if (c + f[e] < f[s] || (c + f[e] == f[s] && c < choice_c[s])) {
+        f[s] = c + f[e];
+        choice_c[s] = c;
+      }
+    }
+    choice_e[s] = s + 1;
+    for (int e = s + 1; e <= n1; ++e)
+      if (parts(s, e) <= choice_c[s]) choice_e[s] = e;
+  }
+  std::vector<std::tuple<int, int, int>> out;
+  for (int s = 0; s < n1; s = choice_e[s])
+    out.emplace_back(s, choice_e[s], choice_c[s]);
+  return out;
+}
+
+LoadMatrix transposed_matrix(const LoadMatrix& a) {
+  LoadMatrix t(a.cols(), a.rows());
+  for (int x = 0; x < a.rows(); ++x)
+    for (int y = 0; y < a.cols(); ++y) t(y, x) = a(x, y);
+  return t;
+}
+
+/// jag-m-opt under `orient` on `a` (dense, which under VER and BEST is the
+/// swapped view) and on its CSR twin at 1, 2, 4 and 8 threads: the optimum
+/// is `want_lmax`, every run returns the 1-thread dense partition rect for
+/// rect, and its stripes are the reference's at that budget in the
+/// orientation the partition was taken from.  Returns the partition.
+Partition expect_drop_walk_exact(const DropWalkCase& c, std::int64_t want_lmax,
+                                 Orientation orient, bool ver_wins) {
+  const PrefixSum2D dense(c.a);
+  const SparseLoadCSR csr = SparseLoadCSR::from_dense(c.a);
+  JaggedOptions opt;
+  opt.orientation = orient;
+  const std::string where =
+      c.name + " orientation " + std::to_string(static_cast<int>(orient));
+  const int width = num_threads();
+  set_threads(1);
+  const Partition want = jag_m_opt(dense, c.m, opt);
+  EXPECT_TRUE(validate(want, c.a.rows(), c.a.cols())) << where;
+  EXPECT_EQ(want.max_load(dense), want_lmax) << where;
+  EXPECT_EQ(stripes_of(want, ver_wins),
+            reference_stripes(ver_wins ? transposed_matrix(c.a) : c.a,
+                              want_lmax))
+      << where;
+  for (const int threads : {1, 2, 4, 8}) {
+    set_threads(threads);
+    for (const LoadSubstrate ls : {LoadSubstrate(dense), LoadSubstrate(csr)}) {
+      EXPECT_EQ(jag_m_opt(ls, c.m, opt).rects, want.rects)
+          << where << " on " << ls.kind() << " (threads=" << threads << ")";
+    }
+  }
+  set_threads(width);
+  return want;
+}
+
+// The walk probes only the chain points of f and the jumps' windows, yet
+// finds the optimum of the paper's DP in each orientation, and picks the
+// same stripes as a brute-force search over every stripe end under the
+// smallest-count tie rule, on every substrate and at every lane count.
+TEST(JagMOptDropWalk, EveryBranchMatchesThePaperDpAndTheTieRule) {
+  for (const DropWalkCase& c : drop_walk_cases()) {
+    JaggedOptions opt = hor();
+    const PrefixSum2D ps(c.a);
+    const std::int64_t h = jag_m_opt_dp(ps, c.m, opt).max_load(ps);
+    opt.orientation = Orientation::kVertical;
+    const std::int64_t v = jag_m_opt_dp(ps, c.m, opt).max_load(ps);
+    const Partition hp =
+        expect_drop_walk_exact(c, h, Orientation::kHorizontal, false);
+    const Partition vp =
+        expect_drop_walk_exact(c, v, Orientation::kVertical, true);
+    const Partition bp =
+        expect_drop_walk_exact(c, std::min(h, v), Orientation::kBest, v < h);
+    EXPECT_EQ(bp.rects, (h <= v ? hp : vp).rects) << c.name;
+  }
+}
+
+// A jump searches e(s, c) below last_end[c], the end the latest jump for c
+// found at a later state; with n1 as its only bound it would search the
+// whole tail instead.  On fig06's uniform instance at 128 x 128, m = 64,
+// the walk makes 43,928 1-D probes; bounded by n1 alone it made 92,659.
+TEST(JagMOptDropWalk, JumpsAreBoundedByTheEndsLaterStatesFound) {
+  if (!RECTPART_OBS_ENABLED) GTEST_SKIP() << "counters compiled out";
+  const PrefixSum2D ps(gen_uniform(128, 128, 1.2, 4));
+  const int width = num_threads();
+  set_threads(1);
+  EXPECT_LE(counted(obs::Counter::kOnedProbeCalls,
+                    [&] { (void)jag_m_opt(ps, 64, hor()); }),
+            48000u);
+  set_threads(width);
 }
 
 }  // namespace

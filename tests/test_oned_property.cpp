@@ -125,9 +125,13 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{128, 0x7FFF, 0, 9999, 6},
                       SweepCase{250, 0, 1, 40, 7},
                       SweepCase{17, 0x7FFF, 5, 5, 8}),
-    [](const ::testing::TestParamInfo<SweepCase>& info) {
-      return "n" + std::to_string(info.param.n) + "_seed" +
-             std::to_string(info.param.seed);
+    [](const ::testing::TestParamInfo<SweepCase>& param_info) {
+      // Appended: `"n" + std::to_string(...)` trips GCC 12's -Wrestrict.
+      std::string name = "n";
+      name += std::to_string(param_info.param.n);
+      name += "_seed";
+      name += std::to_string(param_info.param.seed);
+      return name;
     });
 
 }  // namespace

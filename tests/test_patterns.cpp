@@ -60,7 +60,6 @@ TEST(SpiralOpt, OptimalityOnTinyInstancesByExhaustion) {
     std::int64_t best = ps.total();
     for (int d1 = 0; d1 <= 5; ++d1) {
       const Rect top{0, d1, 0, 5};
-      const Rect rest1{d1, 5, 0, 5};
       for (int d2 = 0; d2 <= 5; ++d2) {
         const Rect right{d1, 5, 5 - d2, 5};
         const Rect core{d1, 5, 0, 5 - d2};

@@ -118,9 +118,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("uniform", "diagonal", "peak",
                                          "multipeak", "slac"),
                        ::testing::Values(2, 4, 6, 9)),
-    [](const ::testing::TestParamInfo<std::tuple<std::string, int>>& info) {
-      return std::get<0>(info.param) + "_m" +
-             std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<std::tuple<std::string, int>>&
+           param_info) {
+      return std::get<0>(param_info.param) + "_m" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 }  // namespace

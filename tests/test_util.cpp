@@ -261,7 +261,7 @@ TEST(ThreadPool, DefaultsToAtLeastOneWorker) {
 TEST(Timer, MeasuresElapsedTime) {
   WallTimer t;
   volatile double sink = 0;
-  for (int i = 0; i < 1000000; ++i) sink += i;
+  for (int i = 0; i < 1000000; ++i) sink = sink + i;
   (void)sink;
   const double s = t.seconds();
   EXPECT_GT(s, 0.0);
