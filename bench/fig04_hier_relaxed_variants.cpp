@@ -5,8 +5,23 @@
 // processors and converge toward -LOAD; -DIST is comparable to the
 // pre-convergence -HOR/-VER.
 #include "bench_common.hpp"
+#include "core/metrics.hpp"
 #include "hier/hier.hpp"
 #include "workloads/synthetic.hpp"
+
+namespace {
+
+/// The paper's grid m = k^2, k = 4, 8, ..., 100; the default scale stops at
+/// m = 4096.  Each point costs milliseconds, and the coarser default grid of
+/// the other figures keeps only three points below this instance's
+/// saturation at m = 576, too few for a majority verdict.
+std::vector<int> fig04_m_sweep(bool full) {
+  std::vector<int> ms = rectpart::bench::square_m_sweep(/*full=*/true);
+  if (!full) std::erase_if(ms, [](int m) { return m > 4096; });
+  return ms;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rectpart;
@@ -29,27 +44,41 @@ int main(int argc, char** argv) {
                                        HierVariant::kHor, HierVariant::kVer};
   Table table({"m", "hier-relaxed-load", "hier-relaxed-dist",
                "hier-relaxed-hor", "hier-relaxed-ver"});
-  double load_wins = 0, rows = 0;
-  for (const int m : bench::square_m_sweep(full)) {
+  // A row where all four variants tie at the lower bound (from m = 576 on
+  // this instance every variant isolates the heaviest cell) says nothing
+  // about which rule balances best, and counting its tie as a -LOAD win
+  // would let any engine in the -LOAD column pass.  The verdict counts the
+  // rows where the variants differ or -LOAD stays above the bound.
+  int load_wins = 0, rows = 0;
+  for (const int m : fig04_m_sweep(full)) {
     table.row().cell(m);
     double best_other = 1e30, load_val = 0;
+    std::int64_t load_lmax = 0;
+    bool differ = false;
     for (const HierVariant v : kVariants) {
       HierOptions opt;
       opt.variant = v;
-      const double imbal = hier_relaxed(ps, m, opt).imbalance(ps);
+      const Partition p = hier_relaxed(ps, m, opt);
+      const double imbal = p.imbalance(ps);
       table.cell(imbal);
-      if (v == HierVariant::kLoad)
+      if (v == HierVariant::kLoad) {
         load_val = imbal;
-      else
+        load_lmax = p.max_load(ps);
+      } else {
         best_other = std::min(best_other, imbal);
+        differ = differ || imbal != load_val;
+      }
     }
+    if (!differ && load_lmax == lower_bound_lmax(ps, m)) continue;
     rows += 1;
     load_wins += load_val <= best_other + 1e-12 ? 1 : 0;
   }
   table.print(std::cout);
+  std::printf("# -load best or tied in %d of %d rows not all at the bound\n",
+              load_wins, rows);
   bench::print_shape(
       "HIER-RELAXED-LOAD achieves the overall best balance; the alternating "
       "variants approach it at large m",
-      load_wins >= rows / 2);
+      rows > 0 && 2 * load_wins >= rows);
   return 0;
 }

@@ -171,7 +171,7 @@ echo "== tier-1: ThreadSanitizer (thread pool + determinism suites) =="
 cmake -B build-tsan -S . -DRECTPART_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$jobs" \
   --target test_parallel test_util test_picmag test_picmag3 test_jagged_opt \
-  test_service test_obs test_sparse_load
+  test_service test_obs test_sparse_load test_hier
 build-tsan/tests/test_parallel
 build-tsan/tests/test_util --gtest_filter='ThreadPool*'
 # The partition daemon under TSan: accept thread, connection handlers, the
@@ -193,5 +193,8 @@ RECTPART_THREADS=4 build-tsan/tests/test_jagged_opt
 # bit-identity and first-bad-entry tests run them at widths 2 and 4), plus
 # the lazily built CSC mirror under the multi-thread sparse golden runs.
 RECTPART_THREADS=4 build-tsan/tests/test_sparse_load
+# HIER-RELAXED's forked subtrees, each node sweeping a thread_local
+# projection, at widths 1-8 on the dense, swapped and CSR substrates.
+build-tsan/tests/test_hier --gtest_filter='HierRelaxedSweep*'
 
 echo "== tier-1: OK =="

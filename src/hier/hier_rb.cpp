@@ -66,17 +66,25 @@ CutChoice search_cut(LeftFn left, RightFn right, int lo0, int hi0, int ml,
 }
 
 /// RB runs one crossing search per dimension per node (unlike
-/// hier_relaxed's m-1 j-searches), so a projection build amortizes over far
-/// fewer evaluations — only the big near-root nodes clear the break-even.
-/// The threshold is a pure performance knob: values are identical either
-/// way.
+/// hier_relaxed's one sweep over all m-1 splits), so a projection build
+/// amortizes over ~2 log2(extent) evaluations only.  On the dense Γ a direct
+/// load is an O(1) gather and only the big near-root nodes clear the
+/// break-even.  On CSR a direct load of a rectangle up to four tiles tall
+/// walks all its rows, so the projection's one walk wins; a taller one goes
+/// through the tiled overlay, which beats the walk.  Values are identical
+/// either way.
 constexpr int kRbProjectionMinProcs = 32;
 
-/// Best row cut of rect r for an ml : mr processor split.  Large nodes
-/// search on the rectangle's row-projection prefix (two adjacent loads per
-/// evaluation); small nodes query Γ directly.  Identical values either way.
+bool project_node(const LoadSubstrate& ps, const Rect& r, int m) {
+  if (ps.is_dense()) return m >= kRbProjectionMinProcs;
+  return ps.sparse()->walks_rows(r.x0, r.x1);
+}
+
+/// Best row cut of rect r for an ml : mr processor split, searched on the
+/// rectangle's row-projection prefix (two adjacent loads per evaluation)
+/// where project_node says so, on direct Γ queries otherwise.
 CutChoice best_cut_rows(const LoadSubstrate& ps, const Rect& r, int ml, int mr) {
-  if (ml + mr >= kRbProjectionMinProcs) {
+  if (project_node(ps, r, ml + mr)) {
     // Safe as thread_local: the projection is consumed to completion before
     // this node recurses, and search_cut never re-enters the pool.
     thread_local StripeProjection proj;
@@ -94,7 +102,7 @@ CutChoice best_cut_rows(const LoadSubstrate& ps, const Rect& r, int ml, int mr) 
 
 /// Best column cut; symmetric to best_cut_rows.
 CutChoice best_cut_cols(const LoadSubstrate& ps, const Rect& r, int ml, int mr) {
-  if (ml + mr >= kRbProjectionMinProcs) {
+  if (project_node(ps, r, ml + mr)) {
     thread_local StripeProjection proj;
     proj.assign_col_projection(ps, r);
     const std::span<const std::int64_t> cp = proj.prefix();

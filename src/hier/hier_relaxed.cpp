@@ -3,22 +3,24 @@
 // and both cut dimensions (subject to the variant), scoring a candidate by
 // the relaxed objective max(L1/j, L2/(m-j)) — i.e. the DP recursion with the
 // recursive calls replaced by average loads — and recurses on the winner.
-// Complexity O(m^2 log max(n1, n2)).
+// A node of h x w cells and m processors builds its row and column
+// projections once and finds the crossings of all m-1 splits in one pass
+// over each (oned/split_sweep.hpp): O(h + w + m) per node, so
+// O(m (n1 + n2 + m)) per run at worst.
 //
-// Parallel structure (util/parallel.hpp): the j-sweep at a node reduces
-// per-j candidates with an explicit total-order key, and the two child
-// recursions fork as tasks writing disjoint output slots, so the partition
-// is bit-identical at any thread count.
-#include <algorithm>
+// Parallel structure (util/parallel.hpp): the two child recursions fork as
+// tasks writing disjoint output slots, and a node's choice is the minimum of
+// an explicit total order, so the partition is bit-identical at any thread
+// count.
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <vector>
 
 #include "hier/hier.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "oned/oracle.hpp"
+#include "oned/split_sweep.hpp"
 #include "prefix/stripe_projection.hpp"
 #include "util/parallel.hpp"
 
@@ -33,11 +35,10 @@ struct NodeChoice {
   long double score = std::numeric_limits<long double>::infinity();
 };
 
-/// Total order matching the sequential sweep (j ascending, rows before
-/// columns, cut position ascending, strict-improvement updates): the overall
-/// winner is the minimum by (score, j, dimension, position).  Reducing per-j
-/// results with this key gives the same choice in any grouping, which is
-/// what makes the parallel j-sweep deterministic.
+/// The node's winner is the minimum by (score, j, dimension with rows
+/// first, position): the first strict improvement of a scan in j order, rows
+/// before columns, positions ascending — whatever order the candidates are
+/// folded in.
 bool better(const NodeChoice& a, const NodeChoice& b) {
   if (a.score != b.score) return a.score < b.score;
   if (a.j != b.j) return a.j < b.j;
@@ -45,46 +46,35 @@ bool better(const NodeChoice& a, const NodeChoice& b) {
   return a.pos < b.pos;
 }
 
-/// For a fixed dimension and processor split j : (m-j), the relaxed score is
-/// minimized at the crossing of L1*(m-j) and L2*j; returns the better of the
-/// crossing index and its left neighbour.  `words_per_pair` is the flat
-/// 64-bit words one (left, right) evaluation reads — 8 for Γ gathers, 2 on a
-/// projection prefix — tallied into oned_oracle_loads (the tally is local,
-/// so concurrent per-j lanes don't race on it).
-template <typename LeftFn, typename RightFn>
-void consider_dim(LeftFn left, RightFn right, int lo0, int hi0, int m, int j,
-                  bool cut_rows, std::int64_t words_per_pair,
-                  NodeChoice& best) {
-  oned::detail::LoadTally tally(words_per_pair);
-  int lo = lo0, hi = hi0;
-  const std::int64_t wl = m - j;  // weight on the left load
-  const std::int64_t wr = j;      // weight on the right load
-  while (lo < hi) {
-    const int mid = lo + (hi - lo) / 2;
+/// Folds every candidate cut of one dimension's projection prefix `p`
+/// (origin `origin`) into `best`: for each split j, the crossing of
+/// L1*(m-j) and L2*j (oned::for_each_split_crossing) and its left
+/// neighbour, scored by the relaxed objective max(L1/j, L2/(m-j)).  Every
+/// predicate and score evaluation reads two words of the prefix, tallied
+/// into oned_oracle_loads.
+void consider_dim(std::span<const std::int64_t> p, int origin, int m,
+                  bool cut_rows, NodeChoice& best) {
+  oned::detail::LoadTally tally(/*per_query=*/2);
+  const std::int64_t total = p.back();
+  const auto fold = [&](int k, int j, long double score) {
     tally.tick();
-    if (left(mid) * wl >= right(mid) * wr)
-      hi = mid;
-    else
-      lo = mid + 1;
-  }
-  for (int k = std::max(lo0, lo - 1); k <= lo; ++k) {
-    tally.tick();
-    const long double score =
-        std::max(static_cast<long double>(left(k)) / j,
-                 static_cast<long double>(right(k)) / (m - j));
-    if (score < best.score) best = {cut_rows, k, j, score};
-  }
+    const NodeChoice c{cut_rows, origin + k, j, score};
+    if (better(c, best)) best = c;
+  };
+  const std::int64_t evals =
+      oned::for_each_split_crossing(p, m, [&](int j, int t) {
+        // L1/j >= L2/(m-j) exactly at the crossing and < just before it,
+        // and rounding to long double is monotone, so the max of the two
+        // rounded quotients is the one this side of the crossing names.
+        if (t > 0)
+          fold(t - 1, j, static_cast<long double>(total - p[t - 1]) / (m - j));
+        fold(t, j, static_cast<long double>(p[t]) / j);
+      });
+  tally.add_raw(2 * evals);
 }
 
-/// Nodes below this processor count run too few cut-search evaluations to
-/// amortize the O(width) projection build; they keep the direct Γ queries.
-/// Values are identical on both paths, so the threshold cannot change any
-/// partition.
-constexpr int kProjectionMinProcs = 8;
-
-/// Below these sizes the spawn/reduction overhead dominates the node work;
-/// fall back to the sequential sweep/recursion.
-constexpr int kParallelSweepMinProcs = 64;
+/// Below this subtree size a task spawn costs more than the subtree's work;
+/// recurse sequentially.
 constexpr int kSpawnMinProcs = 32;
 
 void relaxed_recurse(const LoadSubstrate& ps, const Rect& r, int m, int depth,
@@ -117,57 +107,17 @@ void relaxed_recurse(const LoadSubstrate& ps, const Rect& r, int m, int depth,
   }
 
   // Each active dimension's projection prefix is built once per node and
-  // shared read-only by all m-1 j-searches — the sweep's lambda evaluations
-  // drop from 4-word Γ gathers to two adjacent loads.  Small nodes keep the
-  // direct queries (identical values, so the threshold is purely a
-  // performance knob).
-  const bool use_proj = m >= kProjectionMinProcs;
-  StripeProjection row_proj, col_proj;
-  if (use_proj && try_rows) row_proj.assign_row_projection(ps, r);
-  if (use_proj && try_cols) col_proj.assign_col_projection(ps, r);
-  const std::span<const std::int64_t> rp = row_proj.prefix();
-  const std::span<const std::int64_t> cp = col_proj.prefix();
-
-  const auto eval_j = [&](int j, NodeChoice& best) {
-    if (try_rows) {
-      if (use_proj) {
-        consider_dim([&](int k) { return rp[k - r.x0]; },
-                     [&](int k) { return rp.back() - rp[k - r.x0]; }, r.x0,
-                     r.x1, m, j, /*cut_rows=*/true, /*words_per_pair=*/2,
-                     best);
-      } else {
-        consider_dim([&](int k) { return ps.load(r.x0, k, r.y0, r.y1); },
-                     [&](int k) { return ps.load(k, r.x1, r.y0, r.y1); }, r.x0,
-                     r.x1, m, j, /*cut_rows=*/true, /*words_per_pair=*/8,
-                     best);
-      }
-    }
-    if (try_cols) {
-      if (use_proj) {
-        consider_dim([&](int k) { return cp[k - r.y0]; },
-                     [&](int k) { return cp.back() - cp[k - r.y0]; }, r.y0,
-                     r.y1, m, j, /*cut_rows=*/false, /*words_per_pair=*/2,
-                     best);
-      } else {
-        consider_dim([&](int k) { return ps.load(r.x0, r.x1, r.y0, k); },
-                     [&](int k) { return ps.load(r.x0, r.x1, k, r.y1); }, r.y0,
-                     r.y1, m, j, /*cut_rows=*/false, /*words_per_pair=*/8,
-                     best);
-      }
-    }
-  };
-
+  // swept once for all m-1 processor splits.  Safe as thread_local: the
+  // sweep never re-enters the pool and is done before this node recurses.
+  thread_local StripeProjection proj;
   NodeChoice best;
-  if (m >= kParallelSweepMinProcs && execution_pool() != nullptr) {
-    // Independent per-j candidates, then an ordered reduction by `better`.
-    std::vector<NodeChoice> per_j(m - 1);
-    parallel_for(m - 1, [&](std::size_t i) {
-      eval_j(static_cast<int>(i) + 1, per_j[i]);
-    });
-    for (const NodeChoice& c : per_j)
-      if (better(c, best)) best = c;
-  } else {
-    for (int j = 1; j < m; ++j) eval_j(j, best);
+  if (try_rows) {
+    proj.assign_row_projection(ps, r);
+    consider_dim(proj.prefix(), r.x0, m, /*cut_rows=*/true, best);
+  }
+  if (try_cols) {
+    proj.assign_col_projection(ps, r);
+    consider_dim(proj.prefix(), r.y0, m, /*cut_rows=*/false, best);
   }
 
   Rect a = r, b = r;

@@ -245,8 +245,7 @@ std::int64_t SparseLoadCSR::load(int x0, int x1, int y0, int y1) const {
   // the tiled decomposition is strictly less work than the plain walk.
   // The predicate reads only the query and the (fixed) tile size, keeping
   // every counter downstream a pure function of the query stream.
-  if (tiles_.enabled() && x1 - x0 > 4 * tiles_.tile())
-    return load_tiled(x0, x1, y0, y1);
+  if (!walks_rows(x0, x1)) return load_tiled(x0, x1, y0, y1);
   std::int64_t rows_touched = 0;
   const std::int64_t sum = walk_rows(x0, x1, y0, y1, rows_touched);
   RECTPART_COUNT(kSparseRowsTouched,

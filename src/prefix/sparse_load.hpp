@@ -193,6 +193,12 @@ class SparseLoadCSR {
   /// through checked_extent for web-scale dims).
   [[nodiscard]] LoadMatrix to_dense() const;
 
+  /// True when load() over rows [x0, x1) walks every row of the range: the
+  /// tiled overlay engages only past four tiles.
+  [[nodiscard]] bool walks_rows(int x0, int x1) const {
+    return !tiles_.enabled() || x1 - x0 <= 4 * tiles_.tile();
+  }
+
   /// The tiled Γ overlay (disabled — never engaged — for empty instances).
   /// Exposed so the equality-fuzz tests can aim queries at tile boundaries.
   [[nodiscard]] const SparseTileIndex& tiles() const { return tiles_; }

@@ -1,15 +1,13 @@
 #include "three/algorithms3.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
 #include <limits>
-#include <span>
 
 #include "jagged/jagged.hpp"
 #include "obs/counters.hpp"
 #include "oned/oned.hpp"
+#include "oned/split_sweep.hpp"
 #include "rectilinear/rectilinear.hpp"
 
 namespace rectpart {
@@ -245,45 +243,6 @@ std::vector<std::int64_t> axis_projection(const PrefixSum3D& ps, const Box& b,
   return p;
 }
 
-/// best_cut3 on a flat axis projection: the same crossing-point binary
-/// search, with each probe answered by one prefix lookup.
-Cut3 best_cut3_on_prefix(std::span<const std::int64_t> p, int lo0, int dim,
-                         int ml, int mr) {
-  const std::int64_t total = p.back();
-  int lo = 0, hi = static_cast<int>(p.size()) - 1;
-  while (lo < hi) {
-    const int mid = lo + (hi - lo) / 2;
-    if (p[mid] * mr >= (total - p[mid]) * ml)
-      hi = mid;
-    else
-      lo = mid + 1;
-  }
-  auto score_at = [&](int t) {
-    return std::max(p[t] * mr, (total - p[t]) * ml);
-  };
-  Cut3 cut{dim, lo0 + lo, score_at(lo)};
-  if (lo > 0) {
-    const std::int64_t s = score_at(lo - 1);
-    if (s < cut.score) cut = {dim, lo0 + lo - 1, s};
-  }
-  return cut;
-}
-
-/// Break-even for amortizing HIER-RELAXED3's per-(box, dim) cut searches
-/// over a flat projection: the m - 1 processor splits each binary-search the
-/// same axis (~2 log2(extent) Γ3 gathers plus the two score loads per
-/// split), while the projection costs one gather per slice.  Project when
-/// the direct probe volume exceeds the build cost; at the break-even the
-/// two are within noise (micro_three, DESIGN.md §11), so the strict
-/// inequality favors the cheaper direct path on thin boxes and small m.
-bool project_axis3(int m, int extent) {
-  if (extent <= 1) return false;
-  const std::int64_t probes =
-      static_cast<std::int64_t>(m - 1) *
-      (2 * std::bit_width(static_cast<unsigned>(extent)) + 2);
-  return probes > extent;
-}
-
 void relaxed3_recurse(const PrefixSum3D& ps, const Box& b, int m,
                       bool load_rule, std::vector<Box>& out) {
   if (m == 1) {
@@ -300,43 +259,35 @@ void relaxed3_recurse(const PrefixSum3D& ps, const Box& b, int m,
     dims[0] = dim;
     ndims = 1;
   }
-  // Projections are hoisted out of the j loop (the first place the same
-  // (box, dim) axis is searched m - 1 times); the j/dim iteration order and
-  // the strict `<` tie-break below are unchanged, so the chosen cut — and
-  // the partition — match the direct-gather formulation exactly.
-  std::array<std::vector<std::int64_t>, 3> proj;
-  const int extents3[3] = {b.dx(), b.dy(), b.dz()};
-  for (int di = 0; di < ndims; ++di)
-    if (project_axis3(m, extents3[dims[di]]))
-      proj[dims[di]] = axis_projection(ps, b, dims[di]);
+  // One pass over each axis projection yields the crossings of all m - 1
+  // splits (oned/split_sweep.hpp).  Per (j, dim) the cut is best_cut3's:
+  // the crossing unless its left neighbour scores strictly lower.  The
+  // winner is the first strict improvement of a j-major, dimension-minor
+  // scan, whatever order the dimensions are swept in.
   long double best_score = std::numeric_limits<long double>::infinity();
-  int best_dim = 0, best_pos = 0, best_j = 1;
-  for (int j = 1; j < m; ++j) {
-    for (int di = 0; di < ndims; ++di) {
-      const int dim = dims[di];
-      const std::vector<std::int64_t>& p = proj[dim];
-      std::int64_t l, r;
-      Cut3 c;
-      if (!p.empty()) {
-        c = best_cut3_on_prefix(p, axis_lo(b, dim), dim, j, m - j);
-        l = p[static_cast<std::size_t>(c.pos - axis_lo(b, dim))];
-        r = p.back() - l;
-      } else {
-        c = best_cut3(ps, b, dim, j, m - j);
-        const auto [first, second] = split_box(b, c.dim, c.pos);
-        l = ps.load(first);
-        r = ps.load(second);
-      }
+  int best_dim = 0, best_pos = 0, best_j = 1, best_di = 0;
+  for (int di = 0; di < ndims; ++di) {
+    const int dim = dims[di];
+    const std::vector<std::int64_t> p = axis_projection(ps, b, dim);
+    const std::int64_t total = p.back();
+    oned::for_each_split_crossing(p, m, [&](int j, int t) {
+      const auto cut_score = [&](int u) {
+        return std::max(p[u] * (m - j), (total - p[u]) * j);
+      };
+      if (t > 0 && cut_score(t - 1) < cut_score(t)) --t;
       const long double score =
-          std::max(static_cast<long double>(l) / j,
-                   static_cast<long double>(r) / (m - j));
-      if (score < best_score) {
+          std::max(static_cast<long double>(p[t]) / j,
+                   static_cast<long double>(total - p[t]) / (m - j));
+      if (score < best_score ||
+          (score == best_score &&
+           (j < best_j || (j == best_j && di < best_di)))) {
         best_score = score;
-        best_dim = c.dim;
-        best_pos = c.pos;
+        best_dim = dim;
+        best_pos = axis_lo(b, dim) + t;
         best_j = j;
+        best_di = di;
       }
-    }
+    });
   }
   const auto [first, second] = split_box(b, best_dim, best_pos);
   relaxed3_recurse(ps, first, best_j, load_rule, out);

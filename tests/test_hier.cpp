@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/metrics.hpp"
 #include "jagged/jagged.hpp"
+#include "obs/counters.hpp"
+#include "prefix/sparse_load.hpp"
 #include "testing_util.hpp"
+#include "util/parallel.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace rectpart {
@@ -165,6 +171,176 @@ TEST(Hier, SingleRowMatrix) {
   const PrefixSum2D ps(a);
   EXPECT_TRUE(validate(hier_rb(ps, 7), 1, 30));
   EXPECT_TRUE(validate(hier_relaxed(ps, 7), 1, 30));
+}
+
+// HIER-RELAXED finds the crossing of every processor split j of a node in
+// one pass per dimension, carrying the cut position from j to j + 1.  The
+// reference below rebuilds every node's choice from scratch: for each j and
+// each active dimension it scores every cut k with direct substrate loads,
+// finds the crossing (the smallest k with L1*(m-j) >= L2*j) by a linear
+// scan, and takes the first minimum over (j, rows before columns, the
+// crossing's left neighbour before the crossing).
+struct ReferenceNode {
+  Rect r;
+  int m = 0;
+};
+
+struct RelaxedReference {
+  const LoadSubstrate& ls;
+  HierVariant variant;
+  std::vector<ReferenceNode> nodes;  // every node with m >= 2, preorder
+
+  void recurse(const Rect& r, int m, int depth, Rect* out) {
+    if (m == 1) {
+      *out = r;
+      return;
+    }
+    nodes.push_back({r, m});
+    bool try_rows = true, try_cols = true;
+    switch (variant) {
+      case HierVariant::kLoad: break;
+      case HierVariant::kDist:
+        try_rows = r.width() >= r.height();
+        try_cols = !try_rows;
+        break;
+      case HierVariant::kHor:
+        try_rows = depth % 2 == 0;
+        try_cols = !try_rows;
+        break;
+      case HierVariant::kVer:
+        try_cols = depth % 2 == 0;
+        try_rows = !try_cols;
+        break;
+    }
+    long double best = std::numeric_limits<long double>::infinity();
+    bool best_rows = true;
+    int best_pos = 0, best_j = 1;
+    for (int j = 1; j < m; ++j) {
+      for (const bool rows : {true, false}) {
+        if (rows ? !try_rows : !try_cols) continue;
+        const int lo0 = rows ? r.x0 : r.y0;
+        const int hi0 = rows ? r.x1 : r.y1;
+        const auto left = [&](int k) {
+          return rows ? ls.load(r.x0, k, r.y0, r.y1)
+                      : ls.load(r.x0, r.x1, r.y0, k);
+        };
+        const auto right = [&](int k) {
+          return rows ? ls.load(k, r.x1, r.y0, r.y1)
+                      : ls.load(r.x0, r.x1, k, r.y1);
+        };
+        const auto score = [&](int k) {
+          return std::max(static_cast<long double>(left(k)) / j,
+                          static_cast<long double>(right(k)) / (m - j));
+        };
+        int cross = hi0;
+        long double min_all = std::numeric_limits<long double>::infinity();
+        for (int k = hi0; k >= lo0; --k) {
+          if (left(k) * (m - j) >= right(k) * j) cross = k;
+          min_all = std::min(min_all, score(k));
+        }
+        long double min_pair = std::numeric_limits<long double>::infinity();
+        for (int k = std::max(lo0, cross - 1); k <= cross; ++k) {
+          const long double s = score(k);
+          min_pair = std::min(min_pair, s);
+          if (s < best) {
+            best = s;
+            best_rows = rows;
+            best_pos = k;
+            best_j = j;
+          }
+        }
+        // The relaxed objective is minimized at the crossing or just
+        // before it: no other cut scores lower.
+        EXPECT_EQ(min_pair, min_all) << "j=" << j << " m=" << m;
+      }
+    }
+    Rect a = r, b = r;
+    if (best_rows) {
+      a.x1 = b.x0 = best_pos;
+    } else {
+      a.y1 = b.y0 = best_pos;
+    }
+    recurse(a, best_j, depth + 1, out);
+    recurse(b, m - best_j, depth + 1, out + best_j);
+  }
+
+  Partition run(int m) {
+    Partition p;
+    p.rects.assign(m, Rect{});
+    recurse(Rect{0, ls.rows(), 0, ls.cols()}, m, 0, p.rects.data());
+    return p;
+  }
+};
+
+/// Small instances on which many splits tie: zero rows and columns,
+/// constant cells, a single heavy cell.
+std::vector<LoadMatrix> tie_heavy_matrices() {
+  std::vector<LoadMatrix> out;
+  out.push_back(LoadMatrix(6, 6, 3));
+  LoadMatrix striped = random_matrix(9, 7, 0, 2, 11);
+  for (int x = 0; x < 9; ++x)
+    for (int y = 0; y < 7; ++y)
+      if (x % 3 == 1 || y % 2 == 0) striped(x, y) = 0;
+  out.push_back(striped);
+  LoadMatrix spike(5, 8, 0);
+  spike(2, 5) = 40;
+  spike(0, 0) = 1;
+  out.push_back(spike);
+  out.push_back(random_matrix(11, 4, 0, 1, 12));
+  return out;
+}
+
+TEST(HierRelaxedSweep, EveryNodeMatchesTheBruteForceScanOnEachSubstrate) {
+  const int width = num_threads();
+  for (const LoadMatrix& a : tie_heavy_matrices()) {
+    const PrefixSum2D ps(a);
+    const SparseLoadCSR csr = SparseLoadCSR::from_dense(a);
+    const LoadSubstrate substrates[] = {LoadSubstrate(ps),
+                                        LoadSubstrate(ps).transposed(),
+                                        LoadSubstrate(csr)};
+    for (const LoadSubstrate& ls : substrates) {
+      for (const HierVariant v : kAllVariants) {
+        for (const int m : {2, 3, 4, 5, 7, 12, 33, 64}) {
+          const Partition want = RelaxedReference{ls, v, {}}.run(m);
+          for (const int threads : {1, 2, 4, 8}) {
+            set_threads(threads);
+            const Partition got = hier_relaxed(ls, m, variant(v));
+            set_threads(width);
+            ASSERT_EQ(got.rects, want.rects)
+                << a.rows() << "x" << a.cols() << " " << ls.kind()
+                << (ls.swapped() ? " swapped" : "") << " m=" << m
+                << " variant=" << hier_variant_suffix(v)
+                << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The cut position is carried from split j to j + 1, so a node reads each
+// dimension's projection once plus O(1) per split: at most extent + 1
+// crossing tests plus m - 2 repeated ones and two scores per split, two
+// words each.  Restarting the scan at every j would read ~m * extent / 2.
+TEST(HierRelaxedSweep, EachNodeSweepsItsProjectionsOnce) {
+  if (!RECTPART_OBS_ENABLED) GTEST_SKIP() << "counters compiled out";
+  const PrefixSum2D ps(random_matrix(64, 48, 0, 9, 13));
+  const int m = 256;
+  RelaxedReference ref{ps, HierVariant::kLoad, {}};
+  (void)ref.run(m);
+  std::uint64_t bound = 0;
+  for (const ReferenceNode& n : ref.nodes)
+    bound += 2 * (n.r.width() + 1 + n.m - 2 + 2 * (n.m - 1)) +
+             2 * (n.r.height() + 1 + n.m - 2 + 2 * (n.m - 1));
+  const int width = num_threads();
+  set_threads(1);
+  const obs::CounterSnapshot before = obs::counters_snapshot();
+  (void)hier_relaxed(ps, m, variant(HierVariant::kLoad));
+  const std::uint64_t loads = obs::counters_snapshot().delta_since(
+      before)[obs::Counter::kOnedOracleLoads];
+  set_threads(width);
+  EXPECT_GT(loads, 0u);
+  EXPECT_LE(loads, bound);
 }
 
 }  // namespace
